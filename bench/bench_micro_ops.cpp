@@ -8,6 +8,8 @@
 //   * compositor blend and name-server lookup
 #include <benchmark/benchmark.h>
 
+#include <atomic>
+
 #include "dstampede/app/image.hpp"
 #include "dstampede/clf/endpoint.hpp"
 #include "dstampede/core/channel.hpp"
@@ -123,23 +125,50 @@ BENCHMARK(BM_QueuePutGetConsume)->Arg(1000)->Arg(55000);
 
 // --- CLF: UDP path vs shared-memory fast path (transport ablation) ---------------
 
+// The initiator's handler signals this one-slot mailbox.
+struct ReplySlot {
+  ds::Mutex mu{"bench.reply_slot.mu"};
+  ds::CondVar cv;
+  bool ready DS_GUARDED_BY(mu) = false;
+
+  void Signal() {
+    {
+      ds::MutexLock lock(mu);
+      ready = true;
+    }
+    cv.NotifyOne();
+  }
+  bool Wait(Deadline deadline) {
+    ds::MutexLock lock(mu);
+    while (!ready) {
+      if (!cv.WaitUntil(mu, deadline) && !ready) return false;
+    }
+    ready = false;
+    return true;
+  }
+};
+
 void ClfRoundTrip(benchmark::State& state, bool shm) {
   clf::Endpoint::Options opts;
   opts.enable_shm_fastpath = shm;
-  auto a = clf::Endpoint::Create(opts);
-  auto b = clf::Endpoint::Create(opts);
+  ReplySlot reply;
+  std::atomic<clf::Endpoint*> echo{nullptr};
+  auto a = clf::Endpoint::Create(
+      opts, [&reply](const transport::SockAddr&, Buffer) { reply.Signal(); });
+  // The far end echoes every message from its delivery handler.
+  auto b = clf::Endpoint::Create(
+      opts, [&echo](const transport::SockAddr& from, Buffer message) {
+        (void)echo.load()->Send(from, message);
+      });
   if (!a.ok() || !b.ok()) {
     state.SkipWithError("endpoint creation failed");
     return;
   }
+  echo.store(b->get());
   Buffer payload = MakePayload(static_cast<std::size_t>(state.range(0)));
-  Buffer got;
-  transport::SockAddr from;
   for (auto _ : state) {
     if (!(*a)->Send((*b)->addr(), payload).ok() ||
-        !(*b)->Recv(got, from, Deadline::AfterMillis(30000)).ok() ||
-        !(*b)->Send(from, got).ok() ||
-        !(*a)->Recv(got, from, Deadline::AfterMillis(30000)).ok()) {
+        !reply.Wait(Deadline::AfterMillis(30000))) {
       state.SkipWithError("clf exchange failed");
       return;
     }

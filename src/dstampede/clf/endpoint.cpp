@@ -64,8 +64,10 @@ Buffer BuildPacket(std::uint8_t type, std::uint8_t flags, std::uint32_t seq,
 
 }  // namespace
 
-Result<std::unique_ptr<Endpoint>> Endpoint::Create(const Options& options) {
-  auto ep = std::unique_ptr<Endpoint>(new Endpoint(options));
+Result<std::unique_ptr<Endpoint>> Endpoint::Create(const Options& options,
+                                                  MessageHandler handler) {
+  auto ep =
+      std::unique_ptr<Endpoint>(new Endpoint(options, std::move(handler)));
   DS_ASSIGN_OR_RETURN(ep->socket_, transport::UdpSocket::Bind(options.port));
   ep->addr_ = ep->socket_.bound_addr();
   if (options.enable_shm_fastpath) {
@@ -73,7 +75,7 @@ Result<std::unique_ptr<Endpoint>> Endpoint::Create(const Options& options) {
     ep->shm_ring_ = std::make_shared<ShmRing>(
         [raw](const transport::SockAddr& from, Buffer message) {
           raw->stats_.shm_messages.fetch_add(1, std::memory_order_relaxed);
-          raw->PushInbox(from, std::move(message));
+          raw->Deliver(from, std::move(message));
         });
     ShmRegistry::Instance().Register(ep->addr_, ep->shm_ring_);
   }
@@ -81,8 +83,11 @@ Result<std::unique_ptr<Endpoint>> Endpoint::Create(const Options& options) {
   return ep;
 }
 
-Endpoint::Endpoint(const Options& options)
-    : options_(options), epoch_(NextEpoch()), injector_(options.faults) {}
+Endpoint::Endpoint(const Options& options, MessageHandler handler)
+    : options_(options),
+      epoch_(NextEpoch()),
+      handler_(std::move(handler)),
+      injector_(options.faults) {}
 
 Endpoint::~Endpoint() { Shutdown(); }
 
@@ -93,6 +98,11 @@ void Endpoint::Shutdown() {
     return;
   }
   if (shm_ring_) ShmRegistry::Instance().Unregister(addr_);
+  // Wake window waiters before the join: the receiver thread itself may
+  // be one (its handler can Send). Passing through send_mu_ orders the
+  // wake after any waiter's stopping_ check, so it cannot be lost.
+  { ds::MutexLock lock(send_mu_); }
+  window_cv_.NotifyAll();
   if (receiver_.joinable()) receiver_.join();
   // Last-gasp flush: ship the reorder-held packet and everything still
   // parked in the modeled-network queue before the socket goes away,
@@ -106,8 +116,6 @@ void Endpoint::Shutdown() {
     DrainModeledNetwork(TimePoint::max());
   }
   socket_.Close();
-  window_cv_.NotifyAll();
-  inbox_cv_.NotifyAll();
 }
 
 void Endpoint::WireSend(const transport::SockAddr& to, Buffer datagram) {
@@ -337,33 +345,9 @@ Status Endpoint::Send(const transport::SockAddr& to,
   return OkStatus();
 }
 
-Status Endpoint::Recv(Buffer& out, transport::SockAddr& from,
-                      Deadline deadline) {
-  // Blocks until a message arrives; a held lock here is a latent
-  // deadlock against whatever the sender needs to make progress.
-  sync::AssertBlockingAllowed("clf::Endpoint::Recv");
-  ds::MutexLock lock(inbox_mu_);
-  for (;;) {
-    if (!inbox_.empty()) {
-      from = inbox_.front().first;
-      out = std::move(inbox_.front().second);
-      inbox_.pop_front();
-      return OkStatus();
-    }
-    if (stopping_.load()) return CancelledError("endpoint shut down");
-    if (!inbox_cv_.WaitUntil(inbox_mu_, deadline) && inbox_.empty()) {
-      return TimeoutError("clf recv");
-    }
-  }
-}
-
-void Endpoint::PushInbox(const transport::SockAddr& from, Buffer message) {
-  {
-    ds::MutexLock lock(inbox_mu_);
-    inbox_.emplace_back(from, std::move(message));
-  }
+void Endpoint::Deliver(const transport::SockAddr& from, Buffer message) {
   stats_.messages_delivered.fetch_add(1, std::memory_order_relaxed);
-  inbox_cv_.NotifyOne();
+  handler_(from, std::move(message));
 }
 
 void Endpoint::SendAck(const transport::SockAddr& to, std::uint32_t ack) {
@@ -427,7 +411,7 @@ void Endpoint::DeliverInOrderFragment(const transport::SockAddr& from,
     Buffer message = std::move(peer.partial);
     message.resize(peer.message_length);
     peer.partial = Buffer();
-    PushInbox(from, std::move(message));
+    Deliver(from, std::move(message));
   }
 }
 

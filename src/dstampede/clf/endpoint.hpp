@@ -13,6 +13,14 @@
 // in order per peer, regardless of drops, duplicates or reordering
 // underneath (see tests/clf_test.cpp property suite).
 //
+// Delivery is a callback, not a queue: each reassembled message goes to
+// the MessageHandler given to Create, on the thread that completed it.
+// That is the receiver thread for UDP, and the sending thread on the
+// shm fast path, where several senders may run it at once. The handler
+// must not block (it may take leaf locks and hand work to a pool):
+// while it runs, the receiver thread processes no acks,
+// retransmissions or keepalives.
+//
 // Failure detection (cluster extension beyond the paper's §3.3 model):
 // every packet carries the sender's incarnation epoch. When enabled via
 // Options, the endpoint probes idle peers with keepalive pings, bounds
@@ -26,7 +34,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -82,8 +89,13 @@ class Endpoint {
   // Fired (from the endpoint's receiver thread, outside all endpoint
   // locks) when a peer is declared dead / heard from again.
   using PeerEventCallback = std::function<void(const transport::SockAddr&)>;
+  // Receives every reassembled message, in per-peer order, outside all
+  // endpoint locks. Must not block (see the header comment).
+  using MessageHandler =
+      std::function<void(const transport::SockAddr& from, Buffer message)>;
 
-  static Result<std::unique_ptr<Endpoint>> Create(const Options& options);
+  static Result<std::unique_ptr<Endpoint>> Create(const Options& options,
+                                                  MessageHandler handler);
   ~Endpoint();
 
   Endpoint(const Endpoint&) = delete;
@@ -99,10 +111,6 @@ class Endpoint {
   // Fails fast with kUnavailable once the peer is declared dead.
   Status Send(const transport::SockAddr& to,
               std::span<const std::uint8_t> message);
-
-  // Next fully reassembled message from any peer, in per-peer order.
-  Status Recv(Buffer& out, transport::SockAddr& from,
-              Deadline deadline = Deadline::Infinite());
 
   // --- failure detection ------------------------------------------------
   // Starts keepalive monitoring of `peer` before any traffic flows
@@ -121,6 +129,8 @@ class Endpoint {
 
   // Stops the background thread and closes the socket. Unacked data is
   // abandoned (the paper's CLF has no teardown handshake either).
+  // Senders blocked on the window, the receiver thread's own handler
+  // included, wake with kCancelled before the receiver is joined.
   void Shutdown();
 
   const EndpointStats& stats() const { return stats_; }
@@ -135,7 +145,7 @@ class Endpoint {
   }
 
  private:
-  explicit Endpoint(const Options& options);
+  Endpoint(const Options& options, MessageHandler handler);
 
   struct SendPeer {
     std::uint32_t next_seq = 0;
@@ -185,7 +195,7 @@ class Endpoint {
   void DeliverInOrderFragment(const transport::SockAddr& from, RecvPeer& peer,
                               std::span<const std::uint8_t> payload,
                               bool first_fragment);
-  void PushInbox(const transport::SockAddr& from, Buffer message);
+  void Deliver(const transport::SockAddr& from, Buffer message);
   void SendAck(const transport::SockAddr& to, std::uint32_t ack);
   void RetransmitScan();
   // Applies fault injection and writes datagrams to the socket.
@@ -235,10 +245,7 @@ class Endpoint {
   // deliberately unguarded (single-owner data, see ReceiverLoop).
   std::unordered_map<transport::SockAddr, RecvPeer> recv_peers_;
 
-  ds::Mutex inbox_mu_{"clf.inbox_mu"};
-  ds::CondVar inbox_cv_;
-  std::deque<std::pair<transport::SockAddr, Buffer>> inbox_
-      DS_GUARDED_BY(inbox_mu_);
+  const MessageHandler handler_;
 
   FaultInjector injector_;
   std::shared_ptr<ShmRing> shm_ring_;

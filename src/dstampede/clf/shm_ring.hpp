@@ -20,7 +20,9 @@
 
 namespace dstampede::clf {
 
-// A message sink: the endpoint's inbox push, bound at registration.
+// A message sink: the receiving endpoint's delivery, bound at
+// registration. It runs the receiver's message handler on the sending
+// thread, outside the ring's lock.
 using ShmDeliverFn =
     std::function<void(const transport::SockAddr& from, Buffer message)>;
 

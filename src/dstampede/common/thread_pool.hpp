@@ -2,7 +2,9 @@
 //
 // STM requests arriving from remote address spaces may block (a GET can
 // wait for a timestamp to be produced), so the dispatcher hands each
-// request to a pool worker instead of servicing it on the receive loop.
+// request to a pool worker instead of servicing it in the CLF delivery
+// handler, which must not block. Submit only takes the pool's leaf
+// lock, so the handler may call it.
 #pragma once
 
 #include <deque>

@@ -290,8 +290,15 @@ class AddressSpace {
     return Deadline::After(options_.internal_rpc_deadline);
   }
 
-  void ReceiveLoop();
-  void DispatchRequest(transport::SockAddr from, Buffer message);
+  // The CLF message handler: runs on the endpoint's receiver thread
+  // (or, on the shm fast path, the sender's thread) and must not block.
+  // A reply completes its PendingCall; a request goes to
+  // DispatchRequest.
+  void OnMessage(const transport::SockAddr& from, Buffer message);
+  // Hands a request to the dispatcher pool, since serving it may block.
+  // `hdr` is the header OnMessage already decoded from `message`.
+  void DispatchRequest(const transport::SockAddr& from,
+                       const RequestHeader& hdr, Buffer message);
   // Decodes and executes one request; returns the encoded reply.
   // `origin` is the requesting peer AS when known (CLF dispatch);
   // kInvalidAsId for surrogate-driven client requests.
@@ -362,10 +369,15 @@ class AddressSpace {
   // endpoint, dispatcher, surrogates via metrics_registry().
   metrics::Registry registry_;
   trace::SpanSink span_sink_;
-  // Cached hot-path instruments (stable addresses inside registry_).
-  metrics::Counter* m_dispatch_requests_ = nullptr;
-  metrics::Counter* m_dispatch_deferred_ = nullptr;
-  metrics::Counter* m_dropped_or_expired_ = nullptr;
+  // Cached hot-path instruments (stable addresses inside registry_),
+  // bound at construction because the message handler uses them from
+  // the endpoint's first delivery on.
+  metrics::Counter* const m_dispatch_requests_ =
+      &registry_.GetCounter("dispatch.requests");
+  metrics::Counter* const m_dispatch_deferred_ =
+      &registry_.GetCounter("dispatch.deferred");
+  metrics::Counter* const m_dropped_or_expired_ =
+      &registry_.GetCounter("dispatch.dropped_or_expired");
   StmMetrics stm_metrics_;
   std::unique_ptr<clf::Endpoint> endpoint_;
   // Deadline service for parked container waiters. Declared before the
@@ -415,8 +427,9 @@ class AddressSpace {
       DS_GUARDED_BY(containers_mu_);
   std::uint32_t next_container_slot_ DS_GUARDED_BY(containers_mu_) = 1;
 
-  // Never held while locking a PendingCall's mu (both Call and the
-  // receive/recovery paths release one before taking the other).
+  // Never held while locking a PendingCall's mu (Call, the message
+  // handler and the recovery paths release one before taking the
+  // other).
   ds::Mutex calls_mu_{"as.calls_mu"};
   std::unordered_map<std::uint64_t, std::shared_ptr<PendingCall>> calls_
       DS_GUARDED_BY(calls_mu_);
@@ -427,7 +440,6 @@ class AddressSpace {
   std::uint32_t next_thread_slot_ DS_GUARDED_BY(threads_mu_) = 1;
 
   std::atomic<bool> stopping_{false};
-  Thread receiver_;
 };
 
 }  // namespace dstampede::core

@@ -353,5 +353,114 @@ TEST_F(RuntimeTest, ShutdownCancelsBlockedRemoteGet) {
   getter.join();
 }
 
+
+// --- shm fast path -----------------------------------------------------------
+//
+// Spaces in one process with shm_fastpath move every CLF message
+// through the in-process ring, and the receiver's message handler runs
+// on the *sending* thread (a caller, a dispatcher worker, a completing
+// putter) instead of a receiver thread.
+
+std::unique_ptr<Runtime> ShmRuntime(std::size_t ns_replicas = 1) {
+  Runtime::Options opts;
+  opts.num_address_spaces = 3;
+  opts.shm_fastpath = true;
+  opts.gc_interval = Millis(10);
+  opts.ns_replicas = ns_replicas;
+  opts.ns_lease = Millis(300);
+  opts.ns_heartbeat = Millis(75);
+  auto rt = Runtime::Create(opts);
+  EXPECT_TRUE(rt.ok()) << rt.status();
+  return rt.ok() ? std::move(rt).value() : nullptr;
+}
+
+// Nothing crossed the UDP wire: every message took the ring.
+void ExpectOnlyShm(Runtime& rt) {
+  for (std::size_t i = 0; i < rt.size(); ++i) {
+    EXPECT_EQ(rt.as(i).transport_stats().data_packets_sent.load(), 0u)
+        << "AS" << i;
+  }
+}
+
+TEST_F(RuntimeTest, ShmFastPathRemotePut) {
+  auto rt = ShmRuntime();
+  ASSERT_NE(rt, nullptr);
+  auto ch = rt->as(1).CreateChannel();
+  ASSERT_TRUE(ch.ok());
+  auto out = rt->as(0).Connect(*ch, ConnMode::kOutput);
+  auto in = rt->as(1).Connect(*ch, ConnMode::kInput);
+  ASSERT_TRUE(out.ok()) << out.status();
+  ASSERT_TRUE(in.ok()) << in.status();
+  const std::uint64_t shm_before =
+      rt->as(1).transport_stats().shm_messages.load();
+
+  Buffer payload(50000);
+  FillPattern(payload, 5);
+  ASSERT_TRUE(rt->as(0).Put(*out, 3, payload).ok());
+  auto item =
+      rt->as(1).Get(*in, GetSpec::Exact(3), Deadline::AfterMillis(5000));
+  ASSERT_TRUE(item.ok()) << item.status();
+  EXPECT_TRUE(CheckPattern(item->payload.span(), 5));
+  EXPECT_GT(rt->as(1).transport_stats().shm_messages.load(), shm_before);
+  ExpectOnlyShm(*rt);
+}
+
+TEST_F(RuntimeTest, ShmFastPathParkedGetCompletedByLaterPut) {
+  auto rt = ShmRuntime();
+  ASSERT_NE(rt, nullptr);
+  auto ch = rt->as(1).CreateChannel();
+  ASSERT_TRUE(ch.ok());
+  auto in = rt->as(0).Connect(*ch, ConnMode::kInput);
+  auto out = rt->as(2).Connect(*ch, ConnMode::kOutput);
+  ASSERT_TRUE(in.ok()) << in.status();
+  ASSERT_TRUE(out.ok()) << out.status();
+  auto owned = rt->as(1).FindChannel(ch->bits());
+  ASSERT_NE(owned, nullptr);
+
+  // The Put waits until AS0's Get is parked on the owner, so the reply
+  // is sent by the thread that completes the waiter.
+  std::thread producer([&] {
+    const TimePoint give_up = Now() + Millis(10000);
+    while (owned->parked_get_waiters() == 0 && Now() < give_up) {
+      std::this_thread::sleep_for(Millis(2));
+    }
+    ASSERT_EQ(owned->parked_get_waiters(), 1u);
+    ASSERT_TRUE(rt->as(2).Put(*out, 1, Bytes("parked")).ok());
+  });
+  auto item =
+      rt->as(0).Get(*in, GetSpec::Exact(1), Deadline::AfterMillis(10000));
+  producer.join();
+  ASSERT_TRUE(item.ok()) << item.status();
+  EXPECT_EQ(item->payload.ToString(), "parked");
+  ExpectOnlyShm(*rt);
+}
+
+TEST_F(RuntimeTest, ShmFastPathRemoteCallFromDispatcherTask) {
+  // With three name-server replicas, a registration from AS2 is served
+  // on the leader's (AS0's) dispatcher, whose task replicates it with
+  // remote calls to AS1 and AS2 before it replies.
+  auto rt = ShmRuntime(/*ns_replicas=*/3);
+  ASSERT_NE(rt, nullptr);
+  ASSERT_NE(rt->as(0).replication(), nullptr);
+  const TimePoint give_up = Now() + Millis(10000);
+  while (!rt->as(0).replication()->IsLeader() && Now() < give_up) {
+    std::this_thread::sleep_for(Millis(5));
+  }
+  ASSERT_TRUE(rt->as(0).replication()->IsLeader());
+  const std::uint64_t appends_before = rt->as(0).replication()->log_appends();
+  const std::uint64_t served_before = rt->as(0).stats().requests_served.load();
+
+  ASSERT_TRUE(rt->as(2)
+                  .NsRegister(NsEntry{"shm/cam", NsEntry::Kind::kChannel, 42,
+                                      "via leader"})
+                  .ok());
+  EXPECT_GT(rt->as(0).replication()->log_appends(), appends_before);
+  EXPECT_GT(rt->as(0).stats().requests_served.load(), served_before);
+  auto entry = rt->as(1).NsLookup("shm/cam", Deadline::AfterMillis(5000));
+  ASSERT_TRUE(entry.ok()) << entry.status();
+  EXPECT_EQ(entry->meta, "via leader");
+  ExpectOnlyShm(*rt);
+}
+
 }  // namespace
 }  // namespace dstampede::core

@@ -3,15 +3,20 @@
 // drives the ARQ through seeded drop/duplicate/reorder schedules.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdio>
+#include <cstdlib>
 #include <thread>
+#include <vector>
 
+#include "clf_inbox.hpp"
 #include "dstampede/clf/endpoint.hpp"
 
 namespace dstampede::clf {
 namespace {
 
-std::unique_ptr<Endpoint> MakeEndpoint(Endpoint::Options opts = {}) {
-  auto ep = Endpoint::Create(opts);
+InboxEndpoint MakeEndpoint(Endpoint::Options opts = {}) {
+  auto ep = MakeInboxEndpoint(opts);
   EXPECT_TRUE(ep.ok()) << ep.status();
   return std::move(ep).value();
 }
@@ -23,7 +28,7 @@ TEST(ClfTest, SmallMessageRoundTrip) {
   ASSERT_TRUE(a->Send(b->addr(), msg).ok());
   Buffer got;
   transport::SockAddr from;
-  ASSERT_TRUE(b->Recv(got, from, Deadline::AfterMillis(5000)).ok());
+  ASSERT_TRUE(b.Recv(got, from, Deadline::AfterMillis(5000)).ok());
   EXPECT_EQ(got, msg);
   EXPECT_EQ(from, a->addr());
 }
@@ -34,7 +39,7 @@ TEST(ClfTest, EmptyMessage) {
   ASSERT_TRUE(a->Send(b->addr(), {}).ok());
   Buffer got = {9};
   transport::SockAddr from;
-  ASSERT_TRUE(b->Recv(got, from, Deadline::AfterMillis(5000)).ok());
+  ASSERT_TRUE(b.Recv(got, from, Deadline::AfterMillis(5000)).ok());
   EXPECT_TRUE(got.empty());
 }
 
@@ -46,7 +51,7 @@ TEST(ClfTest, LargeMessageFragmentsAndReassembles) {
   ASSERT_TRUE(a->Send(b->addr(), msg).ok());
   Buffer got;
   transport::SockAddr from;
-  ASSERT_TRUE(b->Recv(got, from, Deadline::AfterMillis(10000)).ok());
+  ASSERT_TRUE(b.Recv(got, from, Deadline::AfterMillis(10000)).ok());
   ASSERT_EQ(got.size(), msg.size());
   EXPECT_TRUE(CheckPattern(got, 42));
   EXPECT_GT(a->stats().data_packets_sent.load(), 20u);
@@ -64,7 +69,7 @@ TEST(ClfTest, ManyMessagesStayOrdered) {
   for (int i = 0; i < kCount; ++i) {
     Buffer got;
     transport::SockAddr from;
-    ASSERT_TRUE(b->Recv(got, from, Deadline::AfterMillis(5000)).ok());
+    ASSERT_TRUE(b.Recv(got, from, Deadline::AfterMillis(5000)).ok());
     EXPECT_TRUE(CheckPattern(got, static_cast<std::uint64_t>(i)))
         << "message " << i << " out of order or corrupt";
   }
@@ -77,7 +82,7 @@ TEST(ClfTest, BidirectionalTraffic) {
     for (int i = 0; i < 50; ++i) {
       Buffer got;
       transport::SockAddr from;
-      ASSERT_TRUE(b->Recv(got, from, Deadline::AfterMillis(5000)).ok());
+      ASSERT_TRUE(b.Recv(got, from, Deadline::AfterMillis(5000)).ok());
       ASSERT_TRUE(b->Send(from, got).ok());  // echo
     }
   });
@@ -87,7 +92,7 @@ TEST(ClfTest, BidirectionalTraffic) {
     ASSERT_TRUE(a->Send(b->addr(), msg).ok());
     Buffer got;
     transport::SockAddr from;
-    ASSERT_TRUE(a->Recv(got, from, Deadline::AfterMillis(5000)).ok());
+    ASSERT_TRUE(a.Recv(got, from, Deadline::AfterMillis(5000)).ok());
     EXPECT_EQ(got, msg);
   }
   peer.join();
@@ -107,7 +112,7 @@ TEST(ClfTest, MultiplePeersInterleaved) {
   for (int i = 0; i < 40; ++i) {
     Buffer got;
     transport::SockAddr from;
-    ASSERT_TRUE(hub->Recv(got, from, Deadline::AfterMillis(5000)).ok());
+    ASSERT_TRUE(hub.Recv(got, from, Deadline::AfterMillis(5000)).ok());
     if (from == a->addr()) {
       EXPECT_EQ(got, Buffer(32, 0xA));
       ++got_a;
@@ -121,10 +126,11 @@ TEST(ClfTest, MultiplePeersInterleaved) {
 }
 
 TEST(ClfTest, RecvTimesOut) {
+  // An idle endpoint delivers nothing unprompted.
   auto a = MakeEndpoint();
   Buffer got;
   transport::SockAddr from;
-  Status s = a->Recv(got, from, Deadline::AfterMillis(50));
+  Status s = a.Recv(got, from, Deadline::AfterMillis(50));
   EXPECT_EQ(s.code(), StatusCode::kTimeout);
 }
 
@@ -146,7 +152,7 @@ TEST(ClfTest, ShmFastPathDelivers) {
   ASSERT_TRUE(a->Send(b->addr(), msg).ok());
   Buffer got;
   transport::SockAddr from;
-  ASSERT_TRUE(b->Recv(got, from, Deadline::AfterMillis(5000)).ok());
+  ASSERT_TRUE(b.Recv(got, from, Deadline::AfterMillis(5000)).ok());
   EXPECT_TRUE(CheckPattern(got, 9));
   EXPECT_EQ(from, a->addr());
   // The fast path must have bypassed the wire entirely.
@@ -161,7 +167,7 @@ TEST(ClfTest, ShmDisabledUsesWire) {
   ASSERT_TRUE(a->Send(b->addr(), Buffer(100)).ok());
   Buffer got;
   transport::SockAddr from;
-  ASSERT_TRUE(b->Recv(got, from, Deadline::AfterMillis(5000)).ok());
+  ASSERT_TRUE(b.Recv(got, from, Deadline::AfterMillis(5000)).ok());
   EXPECT_GE(a->stats().data_packets_sent.load(), 1u);
   EXPECT_EQ(b->stats().shm_messages.load(), 0u);
 }
@@ -193,7 +199,7 @@ TEST(ClfTest, ConcurrentLargeSendsToOnePeerDoNotInterleave) {
   for (int i = 0; i < 2 * kPerThread; ++i) {
     Buffer got;
     transport::SockAddr from;
-    ASSERT_TRUE(b->Recv(got, from, Deadline::AfterMillis(30000)).ok());
+    ASSERT_TRUE(b.Recv(got, from, Deadline::AfterMillis(30000)).ok());
     ASSERT_EQ(got.size(), kSize);
     // Each message must be internally intact and attributable.
     if (CheckPattern(got, 1000 + static_cast<std::uint64_t>(seen_t1))) {
@@ -208,6 +214,126 @@ TEST(ClfTest, ConcurrentLargeSendsToOnePeerDoNotInterleave) {
   EXPECT_EQ(seen_t2, kPerThread);
   t1.join();
   t2.join();
+}
+
+// The handler contract on the UDP path: every message exactly once, in
+// per-peer order, always on the endpoint's one receiver thread — with
+// fragmented and single-datagram messages from two peers interleaved.
+TEST(ClfTest, HandlerSeesEveryMessageOnceInOrderOnOneThread) {
+  constexpr int kPerSender = 12;
+  struct Seen {
+    transport::SockAddr from;
+    Buffer message;
+    std::thread::id thread;
+  };
+  ds::Mutex mu{"test.seen.mu"};
+  ds::CondVar cv;
+  std::vector<Seen> seen;
+  auto receiver = Endpoint::Create(
+      {}, [&](const transport::SockAddr& from, Buffer message) {
+        {
+          ds::MutexLock lock(mu);
+          seen.push_back(
+              {from, std::move(message), std::this_thread::get_id()});
+        }
+        cv.NotifyAll();
+      });
+  ASSERT_TRUE(receiver.ok()) << receiver.status();
+  auto s1 = MakeEndpoint();
+  auto s2 = MakeEndpoint();
+  // Even messages span three datagrams, odd ones fit in one.
+  auto size_of = [](int i) -> std::size_t {
+    return i % 2 == 0 ? 150 * 1024 : 100;
+  };
+  auto send_all = [&](InboxEndpoint& ep, std::uint64_t base) {
+    for (int i = 0; i < kPerSender; ++i) {
+      Buffer msg(size_of(i));
+      FillPattern(msg, base + static_cast<std::uint64_t>(i));
+      ASSERT_TRUE(ep->Send((*receiver)->addr(), msg).ok());
+    }
+  };
+  std::thread::id sender1, sender2;
+  std::thread t1([&] {
+    sender1 = std::this_thread::get_id();
+    send_all(s1, 1000);
+  });
+  std::thread t2([&] {
+    sender2 = std::this_thread::get_id();
+    send_all(s2, 2000);
+  });
+  t1.join();
+  t2.join();
+  {
+    ds::MutexLock lock(mu);
+    const Deadline give_up = Deadline::AfterMillis(30000);
+    while (seen.size() < 2u * kPerSender) {
+      if (!cv.WaitUntil(mu, give_up)) break;
+    }
+  }
+  // Exactly once: nothing more turns up after the last expected one.
+  std::this_thread::sleep_for(Millis(100));
+  ds::MutexLock lock(mu);
+  ASSERT_EQ(seen.size(), 2u * kPerSender);
+  int next1 = 0, next2 = 0;
+  for (const Seen& m : seen) {
+    EXPECT_EQ(m.thread, seen.front().thread) << "handler changed threads";
+    ASSERT_TRUE(m.from == s1->addr() || m.from == s2->addr());
+    int& next = m.from == s1->addr() ? next1 : next2;
+    const std::uint64_t base = m.from == s1->addr() ? 1000 : 2000;
+    ASSERT_EQ(m.message.size(), size_of(next)) << "per-peer order broken";
+    EXPECT_TRUE(
+        CheckPattern(m.message, base + static_cast<std::uint64_t>(next)));
+    ++next;
+  }
+  EXPECT_EQ(next1, kPerSender);
+  EXPECT_EQ(next2, kPerSender);
+  // The receiver's own thread, never a sender's or the test's.
+  EXPECT_NE(seen.front().thread, sender1);
+  EXPECT_NE(seen.front().thread, sender2);
+  EXPECT_NE(seen.front().thread, std::this_thread::get_id());
+}
+
+// Regression: Shutdown joined the receiver before waking window
+// waiters, so a handler blocked in Send on a full window (here: a
+// one-packet window toward a blackholed peer) hung it forever.
+TEST(ClfTest, ShutdownWakesHandlerBlockedOnWindow) {
+  auto sink = MakeEndpoint();  // never hears anything: partitioned
+  Endpoint::Options opts;
+  opts.window_packets = 1;
+  std::atomic<Endpoint*> self{nullptr};
+  std::atomic<bool> entered{false};
+  std::atomic<int> second_send{-1};
+  auto a = Endpoint::Create(opts, [&](const transport::SockAddr&, Buffer) {
+    entered = true;
+    (void)self.load()->Send(sink->addr(), Buffer{1});  // fills the window
+    second_send = static_cast<int>(
+        self.load()->Send(sink->addr(), Buffer{2}).code());  // blocks
+  });
+  ASSERT_TRUE(a.ok()) << a.status();
+  self = a->get();
+  (*a)->fault_injector().Partition(sink->addr());
+
+  auto trigger = MakeEndpoint();
+  ASSERT_TRUE(trigger->Send((*a)->addr(), Buffer{0}).ok());
+  const TimePoint give_up = Now() + Millis(5000);
+  while (!entered && Now() < give_up) std::this_thread::sleep_for(Millis(5));
+  ASSERT_TRUE(entered.load());
+  std::this_thread::sleep_for(Millis(50));  // let the second Send park
+
+  std::atomic<bool> returned{false};
+  std::thread stopper([&] {
+    (*a)->Shutdown();
+    returned = true;
+  });
+  const TimePoint deadline = Now() + Millis(5000);
+  while (!returned && Now() < deadline) std::this_thread::sleep_for(Millis(5));
+  if (!returned) {
+    // The stopper can never be joined; fail loudly instead of hanging.
+    std::fprintf(stderr, "Endpoint::Shutdown hung joining its receiver\n");
+    std::abort();
+  }
+  stopper.join();
+  EXPECT_EQ(second_send.load(), static_cast<int>(StatusCode::kCancelled));
 }
 
 // --- fault-injection property suite -------------------------------------
@@ -245,7 +371,7 @@ TEST_P(ClfFaultTest, ExactlyOnceInOrderUnderFaults) {
   for (int i = 0; i < kCount; ++i) {
     Buffer got;
     transport::SockAddr from;
-    ASSERT_TRUE(receiver->Recv(got, from, Deadline::AfterMillis(30000)).ok())
+    ASSERT_TRUE(receiver.Recv(got, from, Deadline::AfterMillis(30000)).ok())
         << "lost message " << i << " under faults";
     EXPECT_EQ(got.size(), 100u + (i % 7) * 501u) << "order violated at " << i;
     EXPECT_TRUE(CheckPattern(got, static_cast<std::uint64_t>(i) * 13 + 1));
@@ -254,7 +380,7 @@ TEST_P(ClfFaultTest, ExactlyOnceInOrderUnderFaults) {
   // Nothing extra may be delivered (exactly-once).
   Buffer extra;
   transport::SockAddr from;
-  EXPECT_EQ(receiver->Recv(extra, from, Deadline::AfterMillis(200)).code(),
+  EXPECT_EQ(receiver.Recv(extra, from, Deadline::AfterMillis(200)).code(),
             StatusCode::kTimeout);
   if (fc.drop > 0) {
     EXPECT_GT(sender->stats().retransmissions.load(), 0u);
@@ -286,7 +412,7 @@ TEST(ClfFaultTest, FragmentedMessagesSurviveLoss) {
     ASSERT_TRUE(sender->Send(receiver->addr(), msg).ok());
     Buffer got;
     transport::SockAddr from;
-    ASSERT_TRUE(receiver->Recv(got, from, Deadline::AfterMillis(30000)).ok());
+    ASSERT_TRUE(receiver.Recv(got, from, Deadline::AfterMillis(30000)).ok());
     ASSERT_EQ(got.size(), msg.size());
     EXPECT_TRUE(CheckPattern(got, static_cast<std::uint64_t>(i) + 500));
   }

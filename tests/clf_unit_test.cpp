@@ -5,6 +5,7 @@
 
 #include <thread>
 
+#include "clf_inbox.hpp"
 #include "dstampede/clf/endpoint.hpp"
 #include "dstampede/clf/fault_injector.hpp"
 #include "dstampede/clf/shm_ring.hpp"
@@ -135,8 +136,8 @@ TEST(ClfWindowTest, TinyWindowStillDeliversLargeMessage) {
   Endpoint::Options opts;
   opts.window_packets = 2;
   opts.initial_rto = Millis(5);
-  auto a = Endpoint::Create(opts);
-  auto b = Endpoint::Create({});
+  auto a = MakeInboxEndpoint(opts);
+  auto b = MakeInboxEndpoint({});
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   Buffer msg(500 * 1024);  // ~9 fragments through a 2-packet window
@@ -144,7 +145,7 @@ TEST(ClfWindowTest, TinyWindowStillDeliversLargeMessage) {
   ASSERT_TRUE((*a)->Send((*b)->addr(), msg).ok());
   Buffer got;
   transport::SockAddr from;
-  ASSERT_TRUE((*b)->Recv(got, from, Deadline::AfterMillis(30000)).ok());
+  ASSERT_TRUE(b->Recv(got, from, Deadline::AfterMillis(30000)).ok());
   ASSERT_EQ(got.size(), msg.size());
   EXPECT_TRUE(CheckPattern(got, 77));
 }
@@ -155,8 +156,8 @@ TEST(ClfWindowTest, TinyWindowUnderLoss) {
   opts.initial_rto = Millis(5);
   opts.faults.drop_probability = 0.2;
   opts.faults.seed = 3;
-  auto a = Endpoint::Create(opts);
-  auto b = Endpoint::Create({});
+  auto a = MakeInboxEndpoint(opts);
+  auto b = MakeInboxEndpoint({});
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   Buffer msg(200 * 1024);
@@ -164,14 +165,14 @@ TEST(ClfWindowTest, TinyWindowUnderLoss) {
   ASSERT_TRUE((*a)->Send((*b)->addr(), msg).ok());
   Buffer got;
   transport::SockAddr from;
-  ASSERT_TRUE((*b)->Recv(got, from, Deadline::AfterMillis(30000)).ok());
+  ASSERT_TRUE(b->Recv(got, from, Deadline::AfterMillis(30000)).ok());
   EXPECT_TRUE(CheckPattern(got, 99));
   EXPECT_GT((*a)->stats().retransmissions.load(), 0u);
 }
 
 TEST(ClfStatsTest, CountersReflectTraffic) {
-  auto a = Endpoint::Create({});
-  auto b = Endpoint::Create({});
+  auto a = MakeInboxEndpoint({});
+  auto b = MakeInboxEndpoint({});
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   Buffer msg(150 * 1024);  // 3 fragments
@@ -179,7 +180,7 @@ TEST(ClfStatsTest, CountersReflectTraffic) {
   ASSERT_TRUE((*a)->Send((*b)->addr(), msg).ok());
   Buffer got;
   transport::SockAddr from;
-  ASSERT_TRUE((*b)->Recv(got, from, Deadline::AfterMillis(10000)).ok());
+  ASSERT_TRUE(b->Recv(got, from, Deadline::AfterMillis(10000)).ok());
   EXPECT_GE((*a)->stats().data_packets_sent.load(), 3u);
   EXPECT_GE((*b)->stats().data_packets_received.load(), 3u);
   EXPECT_GE((*b)->stats().acks_sent.load(), 1u);

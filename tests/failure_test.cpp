@@ -8,6 +8,7 @@
 #include <atomic>
 #include <thread>
 
+#include "clf_inbox.hpp"
 #include "dstampede/clf/endpoint.hpp"
 #include "dstampede/core/runtime.hpp"
 
@@ -35,8 +36,8 @@ Endpoint::Options Detecting() {
   return opts;
 }
 
-std::unique_ptr<Endpoint> MakeEndpoint(Endpoint::Options opts = {}) {
-  auto ep = Endpoint::Create(opts);
+InboxEndpoint MakeEndpoint(Endpoint::Options opts = {}) {
+  auto ep = MakeInboxEndpoint(opts);
   EXPECT_TRUE(ep.ok()) << ep.status();
   return std::move(ep).value();
 }
@@ -88,7 +89,7 @@ TEST(ClfFailureTest, PartitionedPeerDeclaredDeadWithinBound) {
   ASSERT_TRUE(a->Send(b->addr(), Buffer{1}).ok());
   Buffer got;
   transport::SockAddr from;
-  ASSERT_TRUE(b->Recv(got, from, Deadline::AfterMillis(5000)).ok());
+  ASSERT_TRUE(b.Recv(got, from, Deadline::AfterMillis(5000)).ok());
 
   std::atomic<bool> down_fired{false};
   a->set_peer_down_callback(
@@ -144,7 +145,7 @@ TEST(ClfFailureTest, RestartedPeerResurrectsWithNewEpoch) {
     ASSERT_TRUE(b1->Send(a->addr(), Buffer{1}).ok());
     Buffer got;
     transport::SockAddr from;
-    ASSERT_TRUE(a->Recv(got, from, Deadline::AfterMillis(5000)).ok());
+    ASSERT_TRUE(a.Recv(got, from, Deadline::AfterMillis(5000)).ok());
     b1->Shutdown();
   }
   const auto b_addr = transport::SockAddr::Loopback(port);
@@ -163,7 +164,7 @@ TEST(ClfFailureTest, RestartedPeerResurrectsWithNewEpoch) {
 
   Buffer got;
   transport::SockAddr from;
-  ASSERT_TRUE(a->Recv(got, from, Deadline::AfterMillis(5000)).ok());
+  ASSERT_TRUE(a.Recv(got, from, Deadline::AfterMillis(5000)).ok());
   EXPECT_EQ(got, (Buffer{4, 2}));
   EXPECT_TRUE(WaitFor([&] { return !a->IsPeerDead(b_addr); }, Millis(1000)));
   EXPECT_TRUE(up_fired.load());
@@ -171,7 +172,7 @@ TEST(ClfFailureTest, RestartedPeerResurrectsWithNewEpoch) {
 
   // And the reverse direction works against the new incarnation.
   ASSERT_TRUE(a->Send(b_addr, Buffer{9}).ok());
-  ASSERT_TRUE(b2->Recv(got, from, Deadline::AfterMillis(5000)).ok());
+  ASSERT_TRUE(b2.Recv(got, from, Deadline::AfterMillis(5000)).ok());
   EXPECT_EQ(got, (Buffer{9}));
 }
 

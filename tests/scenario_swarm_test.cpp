@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "clf_inbox.hpp"
 #include "dstampede/clf/endpoint.hpp"
 #include "dstampede/clf/fault_injector.hpp"
 #include "dstampede/client/client.hpp"
@@ -527,9 +528,9 @@ TEST(ScenarioSwarmTest, SlowLinkTailLatencyIsQueueingDelay) {
   // maturing inside the horizon so a real UDP drop can be recovered.
   sender_opts.initial_rto = Millis(300'000);
   sender_opts.max_rto = Millis(300'000);
-  auto sender = clf::Endpoint::Create(sender_opts);
+  auto sender = clf::MakeInboxEndpoint(sender_opts);
   ASSERT_TRUE(sender.ok()) << sender.status();
-  auto receiver = clf::Endpoint::Create({});
+  auto receiver = clf::MakeInboxEndpoint({});
   ASSERT_TRUE(receiver.ok()) << receiver.status();
 
   // 8kbit/s with 100-byte messages: ~100ms of serialization each, so
@@ -561,7 +562,7 @@ TEST(ScenarioSwarmTest, SlowLinkTailLatencyIsQueueingDelay) {
     for (int i = 0; i < kMessages; ++i) {
       Buffer got;
       transport::SockAddr from;
-      if (!(*receiver)->Recv(got, from, give_up).ok()) return;
+      if (!receiver->Recv(got, from, give_up).ok()) return;
       delivery_offsets[i] = Now() - t0;
       order.push_back(got.empty() ? 0xFF : got[0]);
       received.fetch_add(1);

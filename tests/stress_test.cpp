@@ -6,6 +6,7 @@
 #include <atomic>
 #include <thread>
 
+#include "clf_inbox.hpp"
 #include "dstampede/clf/endpoint.hpp"
 #include "dstampede/client/client.hpp"
 #include "dstampede/client/listener.hpp"
@@ -62,15 +63,15 @@ TEST(StressTest, ManyProducersManyConsumersOneChannel) {
 }
 
 TEST(StressTest, ConcurrentSendersOverOneClfEndpoint) {
-  auto receiver = clf::Endpoint::Create({});
+  auto receiver = clf::MakeInboxEndpoint({});
   ASSERT_TRUE(receiver.ok());
   constexpr int kSenders = 3;
   constexpr int kPerSender = 60;
 
-  std::vector<std::unique_ptr<clf::Endpoint>> senders;
+  std::vector<clf::InboxEndpoint> senders;
   std::vector<std::thread> threads;
   for (int s = 0; s < kSenders; ++s) {
-    auto ep = clf::Endpoint::Create({});
+    auto ep = clf::MakeInboxEndpoint({});
     ASSERT_TRUE(ep.ok());
     senders.push_back(std::move(ep).value());
   }
@@ -89,7 +90,7 @@ TEST(StressTest, ConcurrentSendersOverOneClfEndpoint) {
     Buffer msg;
     transport::SockAddr from;
     ASSERT_TRUE(
-        (*receiver)->Recv(msg, from, Deadline::AfterMillis(30000)).ok());
+        receiver->Recv(msg, from, Deadline::AfterMillis(30000)).ok());
     int sender = -1;
     for (int s = 0; s < kSenders; ++s) {
       if (senders[s]->addr() == from) sender = s;
