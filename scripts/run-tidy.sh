@@ -9,8 +9,7 @@
 #      table in docs/CONCURRENCY.md;
 #   2. dslint gate — the standalone checker (build-dir/tools/dslint/
 #      dslint, no clang needed) over src/ and tools/;
-#   3. clang-tidy over src/ using the CMake compilation database,
-#      loading the dslint plugin when the build produced one.
+#   3. clang-tidy over src/ using the CMake compilation database.
 #
 # The build dir must have been configured with CMake (compile_commands
 # .json is exported by default; see CMAKE_EXPORT_COMPILE_COMMANDS in
@@ -55,17 +54,6 @@ if ! command -v "$tidy" >/dev/null 2>&1; then
   exit 2
 fi
 
-# When the build produced the plugin flavor, load it so the
-# dstampede-* checks run inside clang-tidy too (the .clang-tidy Checks
-# glob already enables them; without the plugin the glob matches
-# nothing and is harmless).
-tidy_args=()
-plugin="$build_dir/tools/dslint/libdslint.so"
-if [ -f "$plugin" ]; then
-  echo "== clang-tidy: loading dslint plugin ($plugin)"
-  tidy_args+=(-load "$plugin")
-fi
-
 # Library sources only: tests and benches lean on gtest/benchmark
 # macros that trip bugprone checks with no fix available to us.
 mapfile -t sources < <(find "$repo_root/src" -name '*.cpp' | sort)
@@ -73,7 +61,7 @@ mapfile -t sources < <(find "$repo_root/src" -name '*.cpp' | sort)
 status=0
 for source in "${sources[@]}"; do
   echo "== ${source#"$repo_root"/}"
-  "$tidy" -p "$build_dir" --quiet "${tidy_args[@]}" "$@" "$source" || status=1
+  "$tidy" -p "$build_dir" --quiet "$@" "$source" || status=1
 done
 if [ "$status" -eq 0 ]; then
   echo "clang-tidy: clean"

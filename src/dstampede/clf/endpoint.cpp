@@ -104,6 +104,14 @@ void Endpoint::Shutdown() {
   { ds::MutexLock lock(send_mu_); }
   window_cv_.NotifyAll();
   if (receiver_.joinable()) receiver_.join();
+  // Keep the socket open until every application thread already past
+  // Send's stopping_ check has left sendto: closing under it would let
+  // the fd number be reused by an unrelated open. Later senders see
+  // stopping_ and never reach the socket.
+  {
+    ds::MutexLock lock(send_mu_);
+    while (wire_senders_ != 0) senders_cv_.Wait(send_mu_);
+  }
   // Last-gasp flush: ship the reorder-held packet and everything still
   // parked in the modeled-network queue before the socket goes away,
   // so no datagram is stranded by shutdown ordering.
@@ -327,6 +335,7 @@ Status Endpoint::Send(const transport::SockAddr& to,
       }
       if (stopping_.load()) return CancelledError("endpoint shut down");
       if (h.dead) return UnavailableError("peer declared dead");
+      ++wire_senders_;  // Shutdown waits for it to drop
       seq = peer.next_seq++;
       datagram = BuildPacket(kTypeData, first ? kFlagFirstFragment : 0, seq,
                              /*ack=*/0, epoch_, payload);
@@ -339,6 +348,10 @@ Status Endpoint::Send(const transport::SockAddr& to,
     }
     stats_.data_packets_sent.fetch_add(1, std::memory_order_relaxed);
     WireSend(to, std::move(datagram));
+    {
+      ds::MutexLock lock(send_mu_);
+      if (--wire_senders_ == 0 && stopping_.load()) senders_cv_.NotifyAll();
+    }
     first = false;
   } while (offset < message.size());
 

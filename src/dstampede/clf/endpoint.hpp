@@ -225,6 +225,11 @@ class Endpoint {
 
   mutable ds::Mutex send_mu_{"clf.send_mu"};
   ds::CondVar window_cv_;
+  // Application threads between Send's last stopping_ check and the
+  // end of their sendto; Shutdown waits on senders_cv_ for zero before
+  // closing the socket.
+  std::uint32_t wire_senders_ DS_GUARDED_BY(send_mu_) = 0;
+  ds::CondVar senders_cv_;
   std::unordered_map<transport::SockAddr, SendPeer> send_peers_
       DS_GUARDED_BY(send_mu_);
   // Telemetry (optional). The histogram cache avoids a registry name

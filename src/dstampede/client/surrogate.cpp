@@ -1,16 +1,14 @@
 #include "dstampede/client/surrogate.hpp"
 
 #include <algorithm>
+#include <optional>
+#include <variant>
 
 #include "dstampede/common/logging.hpp"
 
 namespace dstampede::client {
 
 namespace {
-
-bool IsStmOp(core::Op op) {
-  return static_cast<std::uint32_t>(op) < 100;
-}
 
 // Ops whose effects must not run twice. Their replies carry no payload,
 // so an already-executed replay can be answered with a synthesized OK.
@@ -28,10 +26,26 @@ bool IsIdempotentSynthOp(core::Op op) {
   }
 }
 
-Buffer EncodeStatusOnly(std::uint64_t request_id, const Status& status) {
-  marshal::XdrEncoder enc;
-  core::EncodeResponseHeader(enc, request_id, status);
-  return enc.Take();
+// Rewrites the slot a device request addresses through the
+// post-migration remap table. The device's handles keep the slots its
+// original surrogate issued; only ops that carry a slot are affected.
+void RemapSlot(const std::vector<SlotRemap>& remaps, core::RequestBody& body) {
+  if (remaps.empty()) return;
+  std::visit(
+      [&remaps](auto& req) {
+        if constexpr (requires { req.slot; }) {
+          bool is_queue = false;  // SetFilterReq: channels only
+          if constexpr (requires { req.is_queue; }) is_queue = req.is_queue;
+          for (const SlotRemap& r : remaps) {
+            if (r.container_bits == req.container_bits &&
+                r.is_queue == is_queue && r.old_slot == req.slot) {
+              req.slot = r.new_slot;
+              return;
+            }
+          }
+        }
+      },
+      body);
 }
 
 }  // namespace
@@ -78,91 +92,32 @@ void Surrogate::AppendNoticeTrailer(Buffer& reply) {
   notices_forwarded_.fetch_add(drained.size(), std::memory_order_relaxed);
 }
 
-Buffer Surrogate::HandleHello(std::span<const std::uint8_t> frame) {
-  marshal::XdrDecoder dec(frame);
-  auto hdr = core::DecodeRequestHeader(dec);
-  if (!hdr.ok()) return Buffer();
-  auto req = HelloReq::Decode(dec);
-  marshal::XdrEncoder enc;
-  if (!req.ok()) {
-    core::EncodeResponseHeader(enc, hdr->request_id, req.status());
-    return enc.Take();
-  }
+Buffer Surrogate::HandleHello(std::uint64_t request_id,
+                              marshal::XdrDecoder& body) {
+  auto req = HelloReq::Decode(body);
+  if (!req.ok()) return core::EncodeStatusReply(request_id, req.status());
   client_name_ = req->name;
   client_kind_ = req->client_kind;
-  core::EncodeResponseHeader(enc, hdr->request_id, OkStatus());
+  marshal::XdrEncoder enc;
+  core::EncodeResponseHeader(enc, request_id, OkStatus());
   enc.PutU32(AsIndex(host_.id()));
   enc.PutU64(session_id_);
   return enc.Take();
 }
 
-Buffer Surrogate::TranslateSlots(std::span<const std::uint8_t> frame) {
-  Buffer out(frame.begin(), frame.end());
+Buffer Surrogate::ResumeReply(std::uint64_t request_id) {
+  marshal::XdrEncoder enc;
+  core::EncodeResponseHeader(enc, request_id, OkStatus());
+  ResumeResp resp;
+  resp.host_as = AsIndex(host_.id());
+  resp.session_id = session_id_;
   {
     ds::MutexLock lock(session_mu_);
-    if (slot_remaps_.empty()) return out;
+    resp.last_executed_ticket = last_executed_ticket_;
+    resp.remaps = slot_remaps_;
   }
-  marshal::XdrDecoder dec(frame);
-  auto hdr = core::DecodeRequestHeader(dec);
-  if (!hdr.ok()) return out;
-
-  auto remap = [this](std::uint64_t bits, bool is_queue,
-                      std::uint32_t slot) -> std::uint32_t {
-    ds::MutexLock lock(session_mu_);
-    for (const SlotRemap& r : slot_remaps_) {
-      if (r.container_bits == bits && r.is_queue == is_queue &&
-          r.old_slot == slot) {
-        return r.new_slot;
-      }
-    }
-    return slot;
-  };
-
-  marshal::XdrEncoder enc;
-  switch (hdr->op) {
-    case core::Op::kDetach: {
-      auto req = core::DetachReq::Decode(dec);
-      if (!req.ok()) return out;
-      req->slot = remap(req->container_bits, req->is_queue, req->slot);
-      core::EncodeRequestHeader(enc, hdr->op, hdr->request_id);
-      req->Encode(enc);
-      return enc.Take();
-    }
-    case core::Op::kPut: {
-      auto req = core::PutReq::Decode(dec);
-      if (!req.ok()) return out;
-      req->slot = remap(req->container_bits, req->is_queue, req->slot);
-      core::EncodeRequestHeader(enc, hdr->op, hdr->request_id);
-      req->Encode(enc);
-      return enc.Take();
-    }
-    case core::Op::kGet: {
-      auto req = core::GetReq::Decode(dec);
-      if (!req.ok()) return out;
-      req->slot = remap(req->container_bits, req->is_queue, req->slot);
-      core::EncodeRequestHeader(enc, hdr->op, hdr->request_id);
-      req->Encode(enc);
-      return enc.Take();
-    }
-    case core::Op::kConsume: {
-      auto req = core::ConsumeReq::Decode(dec);
-      if (!req.ok()) return out;
-      req->slot = remap(req->container_bits, req->is_queue, req->slot);
-      core::EncodeRequestHeader(enc, hdr->op, hdr->request_id);
-      req->Encode(enc);
-      return enc.Take();
-    }
-    case core::Op::kSetFilter: {
-      auto req = core::SetFilterReq::Decode(dec);
-      if (!req.ok()) return out;
-      req->slot = remap(req->container_bits, /*is_queue=*/false, req->slot);
-      core::EncodeRequestHeader(enc, hdr->op, hdr->request_id);
-      req->Encode(enc);
-      return enc.Take();
-    }
-    default:
-      return out;  // no slot field
-  }
+  EncodeResumeResp(enc, resp);
+  return enc.Take();
 }
 
 Buffer Surrogate::HandleFrame(std::span<const std::uint8_t> frame, bool& bye,
@@ -170,23 +125,17 @@ Buffer Surrogate::HandleFrame(std::span<const std::uint8_t> frame, bool& bye,
   marshal::XdrDecoder dec(frame);
   auto hdr = core::DecodeRequestHeader(dec);
   if (!hdr.ok()) return Buffer();
+  const std::uint64_t ticket = hdr->request_id;
 
   switch (static_cast<ClientOp>(hdr->op)) {
     case ClientOp::kHello:
-      return HandleHello(frame);
-    case ClientOp::kBye: {
+      return HandleHello(ticket, dec);
+    case ClientOp::kBye:
       bye = true;
-      marshal::XdrEncoder enc;
-      core::EncodeResponseHeader(enc, hdr->request_id, OkStatus());
-      return enc.Take();
-    }
+      return core::EncodeStatusReply(ticket, OkStatus());
     case ClientOp::kSetGcInterest: {
       auto req = SetGcInterestReq::Decode(dec);
-      marshal::XdrEncoder enc;
-      if (!req.ok()) {
-        core::EncodeResponseHeader(enc, hdr->request_id, req.status());
-        return enc.Take();
-      }
+      if (!req.ok()) return core::EncodeStatusReply(ticket, req.status());
       {
         ds::MutexLock lock(gc_mu_);
         if (req->enable) {
@@ -197,43 +146,32 @@ Buffer Surrogate::HandleFrame(std::span<const std::uint8_t> frame, bool& bye,
       }
       {
         ds::MutexLock lock(session_mu_);
-        if (hdr->request_id > last_executed_ticket_) {
-          last_executed_ticket_ = hdr->request_id;
-        }
+        if (ticket > last_executed_ticket_) last_executed_ticket_ = ticket;
       }
       MirrorSession();
-      core::EncodeResponseHeader(enc, hdr->request_id, OkStatus());
-      return enc.Take();
+      return core::EncodeStatusReply(ticket, OkStatus());
     }
-    case ClientOp::kResume: {
+    case ClientOp::kResume:
       // A Resume mid-stream (the listener normally services it during
       // the handshake): answer it in place.
-      marshal::XdrEncoder enc;
-      core::EncodeResponseHeader(enc, hdr->request_id, OkStatus());
-      ResumeResp resp;
-      resp.host_as = AsIndex(host_.id());
-      resp.session_id = session_id_;
-      {
-        ds::MutexLock lock(session_mu_);
-        resp.last_executed_ticket = last_executed_ticket_;
-        resp.remaps = slot_remaps_;
-      }
-      EncodeResumeResp(enc, resp);
-      return enc.Take();
-    }
+      return ResumeReply(ticket);
     default:
       break;
   }
 
-  // An STM op: carry it out against the cluster on the device's
-  // behalf. The executor routes to any owning address space.
+  // An STM op, carried out against the cluster on the device's behalf.
+  // Its body is decoded here, once; everything below reads the struct.
+  // An undecodable body is answered with the decode error, like any
+  // other failed op, and has no effect.
+  auto body = core::DecodeRequestBody(hdr->op, dec);
+  if (!body.ok()) return core::EncodeStatusReply(ticket, body.status());
+  core::Request request{*hdr, std::move(*body)};
   const core::Op op = hdr->op;
-  const std::uint64_t ticket = hdr->request_id;
 
-  // Replay dedup: a call the device re-sends after a dropped
-  // connection must not run twice.
   {
     ds::MutexLock lock(session_mu_);
+    // Replay dedup: a call the device re-sends after a dropped
+    // connection must not run twice.
     if (ticket == cached_reply_ticket_ && !cached_reply_.empty()) {
       m_replay_hits_->Add();
       // Destructive-read replay answered from the journal instead of
@@ -254,14 +192,14 @@ Buffer Surrogate::HandleFrame(std::span<const std::uint8_t> frame, bool& bye,
       // Executed before a failover; the original reply died with the
       // old surrogate but the effect is durable. Ack it.
       m_replay_hits_->Add();
-      return EncodeStatusOnly(ticket, OkStatus());
+      return core::EncodeStatusReply(ticket, OkStatus());
     }
+    RemapSlot(slot_remaps_, request.body);
   }
   m_calls_->Add();
 
-  if (edge_faults_ && IsStmOp(op) &&
-      edge_faults_->TakeConnectionKill(
-          clf::FaultInjector::KillPoint::kBeforeExecute)) {
+  if (edge_faults_ && edge_faults_->TakeConnectionKill(
+                          clf::FaultInjector::KillPoint::kBeforeExecute)) {
     kill_conn = true;  // drop the link before the op runs
     return Buffer();
   }
@@ -269,34 +207,30 @@ Buffer Surrogate::HandleFrame(std::span<const std::uint8_t> frame, bool& bye,
   // Tracing: adopt the device's wire span as "client.call" (the client
   // call as observed cluster-side) and execute under a child
   // "surrogate.dispatch" span. Both install themselves as the thread's
-  // current context, so the re-encoded frame (TranslateSlots) and every
-  // RPC the execution fans out carry the context onward. No-ops when
-  // the frame carried no sampled context.
+  // current context, so every RPC the execution fans out carries the
+  // context onward. No-ops when the frame carried no sampled context.
   trace::ScopedSpan client_call(&host_.span_sink(), "client.call", hdr->trace,
                                 /*adopt_span_id=*/true);
-  Buffer effective;
   Buffer reply;
   {
     trace::ScopedSpan dispatch(&host_.span_sink(), "surrogate.dispatch");
-    effective = TranslateSlots(frame);
-    reply = host_.ExecuteWireRequest(effective);
+    reply = host_.Execute(request);
   }
+  marshal::XdrDecoder reply_dec(reply);
+  auto reply_hdr = core::DecodeResponseHeader(reply_dec);
+  const bool executed = reply_hdr.ok() && reply_hdr->status.ok();
 
   // A stopping host answers everything kCancelled; park instead so the
   // device sees a dead link and fails over to a live address space.
   // Exception: if the op demonstrably executed (an OK reply raced the
   // shutdown), deliver the ack — discarding it would make the device
   // replay an op whose remote effect is already durable.
-  if (host_.stopped()) {
-    marshal::XdrDecoder reply_dec(reply);
-    auto reply_hdr = core::DecodeResponseHeader(reply_dec);
-    if (!reply_hdr.ok() || !reply_hdr->status.ok()) {
-      kill_conn = true;
-      return Buffer();
-    }
+  if (host_.stopped() && !executed) {
+    kill_conn = true;
+    return Buffer();
   }
 
-  TrackSessionState(effective, reply);
+  if (executed) TrackSessionState(request, reply_dec);
   // Exactly-once destructive reads: a successful Get on a *remote*
   // queue dequeued an item whose only copy is now this reply. Journal
   // the reply into the (replicated) session registry before it is sent,
@@ -304,31 +238,14 @@ Buffer Surrogate::HandleFrame(std::span<const std::uint8_t> frame, bool& bye,
   // answers the device's replay from the journal instead of dequeuing
   // a second item. Host-owned queues die with the host, so they skip
   // the journal like MirrorTicket skips the high-water mark.
-  bool journal_redo = false;
-  core::ConsumeReq journal_commit;  // the dequeue to commit, iff journal_redo
-  if (durable_ && op == core::Op::kGet) {
-    marshal::XdrDecoder body(effective);
-    (void)core::DecodeRequestHeader(body);
-    auto get_req = core::GetReq::Decode(body);
-    marshal::XdrDecoder reply_dec(reply);
-    auto reply_hdr = core::DecodeResponseHeader(reply_dec);
-    journal_redo =
-        get_req.ok() && get_req->is_queue &&
-        QueueId::FromBits(get_req->container_bits).owner() != host_.id() &&
-        reply_hdr.ok() && reply_hdr->status.ok();
-    if (journal_redo) {
-      auto ts = reply_dec.GetI64();
-      if (ts.ok()) {
-        journal_commit.container_bits = get_req->container_bits;
-        journal_commit.is_queue = true;
-        journal_commit.mode = get_req->mode;
-        journal_commit.slot = get_req->slot;
-        journal_commit.ts = *ts;
-      } else {
-        journal_redo = false;
-      }
-    }
+  const auto* get = std::get_if<core::GetReq>(&request.body);
+  std::optional<Timestamp> journal_ts;  // set iff the read is journaled
+  if (durable_ && executed && get != nullptr && get->is_queue &&
+      QueueId::FromBits(get->container_bits).owner() != host_.id()) {
+    auto ts = reply_dec.GetI64();
+    if (ts.ok()) journal_ts = *ts;
   }
+  const bool journal_redo = journal_ts.has_value();
   {
     ds::MutexLock lock(session_mu_);
     if (ticket > last_executed_ticket_) last_executed_ticket_ = ticket;
@@ -358,11 +275,12 @@ Buffer Surrogate::HandleFrame(std::span<const std::uint8_t> frame, bool& bye,
     // would deliver it a second time. Commit the dequeue now; if the
     // commit fails the item may be redelivered after a host death
     // (at-least-once, logged), which beats silently losing it.
-    marshal::XdrEncoder cenc(64);
-    core::EncodeRequestHeader(cenc, core::Op::kConsume, 0);
-    journal_commit.Encode(cenc);
-    Buffer commit_frame = cenc.Take();
-    Buffer commit_reply = host_.ExecuteWireRequest(commit_frame);
+    core::Request commit{{core::Op::kConsume, 0, {}},
+                         core::ConsumeReq{get->container_bits,
+                                          /*is_queue=*/true, get->mode,
+                                          get->slot, *journal_ts,
+                                          /*until=*/false}};
+    Buffer commit_reply = host_.Execute(commit);
     marshal::XdrDecoder cdec(commit_reply);
     auto chdr = core::DecodeResponseHeader(cdec);
     if (!chdr.ok() || !chdr->status.ok()) {
@@ -371,72 +289,49 @@ Buffer Surrogate::HandleFrame(std::span<const std::uint8_t> frame, bool& bye,
                     << (chdr.ok() ? chdr->status : chdr.status());
     }
   } else {
-    MirrorTicket(ticket, op, [&] {
-      marshal::XdrDecoder body(effective);
-      (void)core::DecodeRequestHeader(body);
-      auto bits = body.GetU64();
-      return bits.ok() ? *bits : 0;
-    }());
+    MirrorTicket(request);
   }
 
-  if (edge_faults_ && IsStmOp(op) &&
-      edge_faults_->TakeConnectionKill(
-          clf::FaultInjector::KillPoint::kAfterExecute)) {
+  if (edge_faults_ && edge_faults_->TakeConnectionKill(
+                          clf::FaultInjector::KillPoint::kAfterExecute)) {
     kill_conn = true;  // executed, but the reply never reaches the device
     return Buffer();
   }
   return reply;
 }
 
-void Surrogate::TrackSessionState(std::span<const std::uint8_t> request,
-                                  std::span<const std::uint8_t> reply) {
-  marshal::XdrDecoder req_dec(request);
-  auto req_hdr = core::DecodeRequestHeader(req_dec);
-  if (!req_hdr.ok()) return;
-  if (req_hdr->op != core::Op::kAttach && req_hdr->op != core::Op::kDetach &&
-      req_hdr->op != core::Op::kNsRegister &&
-      req_hdr->op != core::Op::kNsUnregister) {
-    return;
-  }
-  marshal::XdrDecoder reply_dec(reply);
-  auto reply_hdr = core::DecodeResponseHeader(reply_dec);
-  if (!reply_hdr.ok() || !reply_hdr->status.ok()) return;
-
+void Surrogate::TrackSessionState(const core::Request& request,
+                                  marshal::XdrDecoder reply_body) {
   {
     ds::MutexLock lock(session_mu_);
-    switch (req_hdr->op) {
+    switch (request.header.op) {
       case core::Op::kAttach: {
-        auto req = core::AttachReq::Decode(req_dec);
-        auto slot = reply_dec.GetU32();
-        if (req.ok() && slot.ok()) {
+        const auto& req = std::get<core::AttachReq>(request.body);
+        auto slot = reply_body.GetU32();
+        if (slot.ok()) {
           attachments_.push_back(Attachment{
-              req->container_bits, req->is_queue, *slot, *slot,
-              static_cast<std::uint8_t>(req->mode), req->label});
+              req.container_bits, req.is_queue, *slot, *slot,
+              static_cast<std::uint8_t>(req.mode), req.label});
         }
         break;
       }
       case core::Op::kDetach: {
-        auto req = core::DetachReq::Decode(req_dec);
-        if (req.ok()) {
-          std::erase_if(attachments_, [&](const Attachment& a) {
-            return a.container_bits == req->container_bits &&
-                   a.is_queue == req->is_queue && a.slot == req->slot;
-          });
-        }
+        const auto& req = std::get<core::DetachReq>(request.body);
+        std::erase_if(attachments_, [&](const Attachment& a) {
+          return a.container_bits == req.container_bits &&
+                 a.is_queue == req.is_queue && a.slot == req.slot;
+        });
         break;
       }
-      case core::Op::kNsRegister: {
-        auto entry = core::DecodeNsEntry(req_dec);
-        if (entry.ok()) registered_names_.push_back(entry->name);
+      case core::Op::kNsRegister:
+        registered_names_.push_back(std::get<core::NsEntry>(request.body).name);
         break;
-      }
-      case core::Op::kNsUnregister: {
-        auto req = core::NsLookupReq::Decode(req_dec);
-        if (req.ok()) std::erase(registered_names_, req->name);
+      case core::Op::kNsUnregister:
+        std::erase(registered_names_,
+                   std::get<core::NsLookupReq>(request.body).name);
         break;
-      }
       default:
-        break;
+        return;  // no session state to track
     }
   }
   MirrorSession();
@@ -479,9 +374,9 @@ void Surrogate::MirrorSession() {
   }
 }
 
-void Surrogate::MirrorTicket(std::uint64_t ticket, core::Op op,
-                             std::uint64_t container_bits) {
+void Surrogate::MirrorTicket(const core::Request& request) {
   if (!durable_ || host_.stopped()) return;
+  const core::Op op = request.header.op;
   // Only mutations whose effects outlive this host need the durable
   // high-water mark: ops on containers owned by a *peer* address space
   // (they already pay a CLF round trip) and name-server mutations. An
@@ -496,9 +391,17 @@ void Surrogate::MirrorTicket(std::uint64_t ticket, core::Op op,
   if (!ns_op && !data_op) return;
   const AsId target =
       ns_op ? host_.name_server_as()
-            : ChannelId::FromBits(container_bits).owner();
+            : std::visit(
+                  [](const auto& req) {
+                    if constexpr (requires { req.container_bits; }) {
+                      return ChannelId::FromBits(req.container_bits).owner();
+                    } else {
+                      return kInvalidAsId;
+                    }
+                  },
+                  request.body);
   if (target == host_.id()) return;
-  Status s = host_.SessionTick(session_id_, ticket);
+  Status s = host_.SessionTick(session_id_, request.header.request_id);
   if (!s.ok()) {
     DS_LOG(kWarn) << "surrogate " << session_id_
                   << ": ticket mirror failed: " << s;
@@ -585,18 +488,7 @@ Status Surrogate::ServiceResume(std::span<const std::uint8_t> frame) {
   marshal::XdrDecoder dec(frame);
   auto hdr = core::DecodeRequestHeader(dec);
   if (!hdr.ok()) return InternalError("bad resume frame");
-  marshal::XdrEncoder enc;
-  core::EncodeResponseHeader(enc, hdr->request_id, OkStatus());
-  ResumeResp resp;
-  resp.host_as = AsIndex(host_.id());
-  resp.session_id = session_id_;
-  {
-    ds::MutexLock lock(session_mu_);
-    resp.last_executed_ticket = last_executed_ticket_;
-    resp.remaps = slot_remaps_;
-  }
-  EncodeResumeResp(enc, resp);
-  Buffer reply = enc.Take();
+  Buffer reply = ResumeReply(hdr->request_id);
   AppendNoticeTrailer(reply);
   calls_serviced_.fetch_add(1, std::memory_order_relaxed);
   return conn_.SendFrame(reply);
@@ -665,8 +557,10 @@ void Surrogate::Park() {
 }
 
 Status Surrogate::ServiceHello(std::span<const std::uint8_t> frame) {
-  Buffer reply = HandleHello(frame);
-  if (reply.empty()) return InternalError("bad hello frame");
+  marshal::XdrDecoder dec(frame);
+  auto hdr = core::DecodeRequestHeader(dec);
+  if (!hdr.ok()) return InternalError("bad hello frame");
+  Buffer reply = HandleHello(hdr->request_id, dec);
   AppendNoticeTrailer(reply);
   calls_serviced_.fetch_add(1, std::memory_order_relaxed);
   MirrorSession();

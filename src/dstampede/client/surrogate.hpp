@@ -109,20 +109,20 @@ class Surrogate {
   // asks for the connection to be dropped instead of replying.
   Buffer HandleFrame(std::span<const std::uint8_t> frame, bool& bye,
                      bool& kill_conn);
-  Buffer HandleHello(std::span<const std::uint8_t> frame);
+  // `body` is positioned at the Hello fields.
+  Buffer HandleHello(std::uint64_t request_id, marshal::XdrDecoder& body);
+  // Resume reply: this surrogate's host, last ticket and slot remaps.
+  Buffer ResumeReply(std::uint64_t request_id);
   void AppendNoticeTrailer(Buffer& reply);
-  // Inspects a successful STM request/reply pair to maintain the
-  // device's session state for Reap() and the session registry.
-  void TrackSessionState(std::span<const std::uint8_t> request,
-                         std::span<const std::uint8_t> reply);
-  // Rewrites slots in a device request through the post-migration
-  // remap table (identity when the table is empty).
-  Buffer TranslateSlots(std::span<const std::uint8_t> frame);
+  // Maintains the device's session state for Reap() and the session
+  // registry from an executed STM request; `reply_body` reads its
+  // successful reply's result fields.
+  void TrackSessionState(const core::Request& request,
+                         marshal::XdrDecoder reply_body);
   // Mirrors the full session record / the ticket high-water mark into
   // the name server's session registry (no-ops when not durable).
   void MirrorSession();
-  void MirrorTicket(std::uint64_t ticket, core::Op op,
-                    std::uint64_t container_bits);
+  void MirrorTicket(const core::Request& request);
   core::SessionRecord SnapshotRecord();
   void Park();
 
@@ -170,8 +170,8 @@ class Surrogate {
   std::uint64_t gc_sink_token_ = 0;  // set in ctor, read in dtor only
 
   // Session state for the failure-handling extension. Never held while
-  // calling into the host (ExecuteWireRequest/Session*/Connect) and
-  // never nested with gc_mu_.
+  // calling into the host (Execute/Session*/Connect) and never nested
+  // with gc_mu_.
   mutable ds::Mutex session_mu_{"surrogate.session_mu"};
   std::vector<Attachment> attachments_ DS_GUARDED_BY(session_mu_);
   std::vector<std::string> registered_names_ DS_GUARDED_BY(session_mu_);
@@ -187,7 +187,8 @@ class Surrogate {
   // death, unlike cached_reply_.
   std::uint64_t redo_ticket_ DS_GUARDED_BY(session_mu_) = 0;
   Buffer redo_payload_ DS_GUARDED_BY(session_mu_);
-  // Post-migration slot translation (old surrogate's slot -> ours).
+  // Post-migration slot translation (old surrogate's slot -> ours),
+  // applied to each request's decoded body under session_mu_.
   std::vector<SlotRemap> slot_remaps_ DS_GUARDED_BY(session_mu_);
   TimePoint parked_since_{};
 

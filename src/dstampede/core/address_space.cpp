@@ -69,13 +69,8 @@ Result<std::unique_ptr<AddressSpace>> AddressSpace::Create(
           (void)raw->name_server_->Apply(*m);
         },
         /*send=*/
-        [raw](AsId target, Op op,
-              const std::function<void(marshal::XdrEncoder&)>& body,
-              Deadline deadline) -> Result<Buffer> {
-          marshal::XdrEncoder enc;
-          EncodeRequestHeader(enc, op, raw->next_request_id_.fetch_add(1));
-          body(enc);
-          return raw->Call(target, enc.Take(), deadline);
+        [raw](AsId target, Op op, const RequestBody& body, Deadline deadline) {
+          return raw->Exchange(target, op, body, deadline);
         },
         /*peer_dead=*/[raw](AsId peer) { return raw->IsPeerDown(peer); });
     as->replog_->set_on_became_leader([raw] { raw->OnBecameNsLeader(); });
@@ -478,8 +473,8 @@ Result<transport::SockAddr> AddressSpace::PeerAddr(AsId peer) const {
 
 // --- RPC plumbing ----------------------------------------------------------
 
-Result<Buffer> AddressSpace::Call(AsId target, Buffer request,
-                                  Deadline deadline) {
+Result<Reply> AddressSpace::Exchange(AsId target, Op op, const RequestBody& body,
+                                     Deadline deadline) {
   // A Call blocks on the CLF round-trip; entering it with any ds::Mutex
   // held is the invariant violation behind the PR 2 Resume-reply
   // deadlock, so fail loudly under the runtime detector.
@@ -491,20 +486,22 @@ Result<Buffer> AddressSpace::Call(AsId target, Buffer request,
     return UnavailableError("peer address space declared dead");
   }
 
-  // The request id sits after the 4-byte op field.
-  marshal::XdrDecoder peek(request);
-  DS_ASSIGN_OR_RETURN(auto hdr, DecodeRequestHeader(peek));
+  const std::uint64_t id = next_request_id_.fetch_add(1);
+  const auto* put = std::get_if<PutReq>(&body);
+  marshal::XdrEncoder enc(put != nullptr ? put->payload.size() + 96 : 0);
+  EncodeRequestHeader(enc, op, id);
+  EncodeRequestBody(enc, body);
 
   auto pending = std::make_shared<PendingCall>();
   pending->target = target;
   {
     ds::MutexLock lock(calls_mu_);
-    calls_[hdr.request_id] = pending;
+    calls_[id] = pending;
   }
-  Status sent = endpoint_->Send(addr, request);
+  Status sent = endpoint_->Send(addr, enc.buffer());
   if (!sent.ok()) {
     ds::MutexLock lock(calls_mu_);
-    calls_.erase(hdr.request_id);
+    calls_.erase(id);
     return sent;
   }
 
@@ -518,23 +515,31 @@ Result<Buffer> AddressSpace::Call(AsId target, Buffer request,
     if (!pending->cv.WaitUntil(pending->mu, wait) && !pending->done) {
       lock.Unlock();
       ds::MutexLock erase_lock(calls_mu_);
-      calls_.erase(hdr.request_id);
+      calls_.erase(id);
       return TimeoutError("rpc call");
     }
   }
   if (!pending->status.ok()) return pending->status;
-  return std::move(pending->response);
+  return std::move(pending->reply);
+}
+
+Result<Reply> AddressSpace::Call(AsId target, Op op, const RequestBody& body,
+                                 Deadline deadline) {
+  DS_ASSIGN_OR_RETURN(Reply reply, Exchange(target, op, body, deadline));
+  if (!reply.status.ok()) return reply.status;
+  return reply;
 }
 
 void AddressSpace::OnMessage(const transport::SockAddr& from, Buffer message) {
-  marshal::XdrDecoder peek(message);
-  auto hdr = DecodeRequestHeader(peek);
+  marshal::XdrDecoder dec(message);
+  auto hdr = DecodeRequestHeader(dec);
   if (!hdr.ok()) {
     DS_LOG(kWarn) << "undecodable frame from " << from.ToString();
     return;
   }
   if (hdr->op != Op::kReply) {
-    DispatchRequest(from, *hdr, std::move(message));
+    const std::size_t body_offset = message.size() - dec.remaining();
+    DispatchRequest(from, *hdr, std::move(message), body_offset);
     return;
   }
   std::shared_ptr<PendingCall> call;
@@ -545,14 +550,20 @@ void AddressSpace::OnMessage(const transport::SockAddr& from, Buffer message) {
     call = std::move(it->second);
     calls_.erase(it);
   }
+  Reply reply;
+  const Status decoded = DecodeReplyStatus(dec, reply.status);
+  reply.body_offset = message.size() - dec.remaining();
+  reply.frame = std::move(message);
   ds::MutexLock lock(call->mu);
   call->done = true;
-  call->response = std::move(message);
+  call->status = decoded;
+  call->reply = std::move(reply);
   call->cv.NotifyAll();
 }
 
 void AddressSpace::DispatchRequest(const transport::SockAddr& from,
-                                   const RequestHeader& hdr, Buffer message) {
+                                   const RequestHeader& hdr, Buffer message,
+                                   std::size_t body_offset) {
   // Attribute the request to the sending address space (for attachment
   // bookkeeping); requests from unknown addresses stay anonymous.
   AsId origin = kInvalidAsId;
@@ -562,7 +573,8 @@ void AddressSpace::DispatchRequest(const transport::SockAddr& from,
     if (it != peer_by_addr_.end()) origin = it->second;
   }
   m_dispatch_requests_->Add();
-  auto task = [this, from, origin, hdr, msg = std::move(message)]() {
+  auto task = [this, from, origin, hdr, body_offset,
+               msg = std::move(message)]() {
     // The caller's context rides the whole execution of this request:
     // spans opened below parent onto it and every outgoing
     // EncodeRequestHeader re-emits it (trace propagation).
@@ -578,13 +590,25 @@ void AddressSpace::DispatchRequest(const transport::SockAddr& from,
                     UnavailableError("address space shutting down")));
       return;
     }
-    // Blocking container ops suspend into a waiter instead of parking
-    // this worker; everything else is served synchronously.
-    if (ServeDeferred(msg, origin, from)) return;
-    Buffer reply = ProcessRequest(msg, origin);
-    if (!reply.empty()) {
-      (void)endpoint_->Send(from, reply);
+    stats_.requests_served.fetch_add(1, std::memory_order_relaxed);
+    marshal::XdrDecoder dec(
+        std::span<const std::uint8_t>(msg).subspan(body_offset));
+    auto body = DecodeRequestBody(hdr.op, dec);
+    if (!body.ok()) {
+      (void)endpoint_->Send(from,
+                            EncodeStatusReply(hdr.request_id, body.status()));
+      return;
     }
+    Request request{hdr, std::move(*body)};
+    // A body decoded, so the op has a handler. Blocking container ops
+    // suspend into a waiter instead of parking this worker; everything
+    // else is served synchronously.
+    const OpHandler& handler = *HandlerFor(hdr.op);
+    if (handler.suspend != nullptr &&
+        handler.suspend(*this, request, origin, from)) {
+      return;
+    }
+    (void)endpoint_->Send(from, handler.serve(*this, request, origin));
   };
   if (!dispatcher_->Submit(std::move(task))) {
     // Only during shutdown. The refusal is sent from the delivering
@@ -599,6 +623,16 @@ void AddressSpace::DispatchRequest(const transport::SockAddr& from,
   }
 }
 
+Buffer AddressSpace::Execute(Request& request) {
+  stats_.requests_served.fetch_add(1, std::memory_order_relaxed);
+  const OpHandler* handler = HandlerFor(request.header.op);
+  if (handler == nullptr) {
+    return EncodeStatusReply(request.header.request_id,
+                             InternalError("unknown op"));
+  }
+  return handler->serve(*this, request, kInvalidAsId);
+}
+
 namespace {
 
 // Container ids embed their owner AS (ids.hpp); channels and queues
@@ -607,393 +641,389 @@ AsId OwnerOf(std::uint64_t container_bits) {
   return ChannelId::FromBits(container_bits).owner();
 }
 
-}  // namespace
-
-bool AddressSpace::ServeDeferred(std::span<const std::uint8_t> message,
-                                 AsId origin, const transport::SockAddr& from) {
-  marshal::XdrDecoder dec(message);
-  auto hdr = DecodeRequestHeader(dec);
-  if (!hdr.ok()) return false;
-  if (hdr->op != Op::kGet && hdr->op != Op::kPut) return false;
-  const std::uint64_t id = hdr->request_id;
-
-  // Tag remote waiters with the caller's AS index so OnPeerDown can
-  // cancel them; anonymous callers (end devices via a surrogate that is
-  // not a registered peer) share the no-origin sentinel and are only
-  // completed by deadline, container close, or shutdown.
-  const std::uint32_t origin_tag =
-      origin == kInvalidAsId ? kNoWaiterOrigin : AsIndex(origin);
-  // Reply exactly once from whichever thread resolves the waiter
-  // (putter, consumer, timer wheel, peer-death, close, shutdown).
-  auto reply = std::make_shared<DeferredReply>(
-      id, [this, from](Buffer encoded) {
-        if (!encoded.empty()) (void)endpoint_->Send(from, encoded);
-      });
-
-  if (hdr->op == Op::kGet) {
-    auto req = GetReq::Decode(dec);
-    if (!req.ok()) return false;  // sync path emits the decode error
-    if (OwnerOf(req->container_bits) != options_.id) return false;
-    stats_.requests_served.fetch_add(1, std::memory_order_relaxed);
-    stats_.gets.fetch_add(1, std::memory_order_relaxed);
-    m_dispatch_deferred_->Add();
-    // The suspension itself is a span: it starts here (request arrives,
-    // try phase may park it) and ends — possibly on the producer's or
-    // the timer wheel's thread — when the continuation fires. Shared
-    // because GetCompletion is a copyable std::function.
-    auto parked = std::make_shared<trace::PendingSpan>(
-        &span_sink_, "owner.parked", hdr->trace);
-    auto done = [this, id, reply, parked,
-                 tctx = hdr->trace](Result<ItemView> item) {
-      parked->Finish();
-      if (!item.ok()) {
-        if (item.status().code() == StatusCode::kTimeout) {
-          m_dropped_or_expired_->Add();
-          DS_LOG(kWarn) << "parked get " << id
-                        << " expired at deadline, trace=" << TraceTag(tctx);
-        }
-        (void)reply->Complete(EncodeStatusReply(id, item.status()));
-        return;
-      }
-      stats_.bytes_got.fetch_add(item->payload.size(),
-                                 std::memory_order_relaxed);
-      (void)reply->Complete(EncodeItemReply(id, *item));
-    };
-    const Deadline deadline = DecodeDeadline(req->deadline_ms);
-    if (req->is_queue) {
-      auto q = FindQueue(req->container_bits);
-      if (!q) {
-        (void)reply->Complete(EncodeStatusReply(id, NotFoundError("queue")));
-        return true;
-      }
-      q->GetAsync(req->slot, deadline, std::move(done), origin_tag);
-    } else {
-      auto ch = FindChannel(req->container_bits);
-      if (!ch) {
-        (void)reply->Complete(EncodeStatusReply(id, NotFoundError("channel")));
-        return true;
-      }
-      ch->GetAsync(req->slot, req->spec, deadline, std::move(done),
-                   origin_tag);
-    }
-    return true;
-  }
-
-  auto req = PutReq::Decode(dec);
-  if (!req.ok()) return false;
-  if (OwnerOf(req->container_bits) != options_.id) return false;
-  stats_.requests_served.fetch_add(1, std::memory_order_relaxed);
-  stats_.puts.fetch_add(1, std::memory_order_relaxed);
-  stats_.bytes_put.fetch_add(req->payload.size(), std::memory_order_relaxed);
-  m_dispatch_deferred_->Add();
-  if (!CanOutput(req->mode)) {
-    (void)reply->Complete(EncodeStatusReply(
-        id, PermissionDeniedError("connection is input-only")));
-    return true;
-  }
-  auto parked = std::make_shared<trace::PendingSpan>(
-      &span_sink_, "owner.parked", hdr->trace);
-  auto done = [this, id, reply, parked, tctx = hdr->trace](Status st) {
-    parked->Finish();
-    if (st.code() == StatusCode::kTimeout) {
-      m_dropped_or_expired_->Add();
-      DS_LOG(kWarn) << "parked put " << id
-                    << " expired at deadline, trace=" << TraceTag(tctx);
-    }
-    (void)reply->Complete(EncodeStatusReply(id, st));
-  };
-  const Deadline deadline = DecodeDeadline(req->deadline_ms);
-  if (req->is_queue) {
-    auto q = FindQueue(req->container_bits);
-    if (!q) {
-      (void)reply->Complete(EncodeStatusReply(id, NotFoundError("queue")));
-      return true;
-    }
-    q->PutAsync(req->ts, SharedBuffer(std::move(req->payload)), deadline,
-                std::move(done), origin_tag);
-  } else {
-    auto ch = FindChannel(req->container_bits);
-    if (!ch) {
-      (void)reply->Complete(EncodeStatusReply(id, NotFoundError("channel")));
-      return true;
-    }
-    ch->PutAsync(req->ts, SharedBuffer(std::move(req->payload)), deadline,
-                 std::move(done), origin_tag);
-  }
-  return true;
+// A successful reply whose result fields `put_fields` appends.
+template <class PutFields>
+Buffer OkReply(std::uint64_t id, PutFields&& put_fields) {
+  marshal::XdrEncoder enc;
+  EncodeResponseHeader(enc, id, OkStatus());
+  put_fields(enc);
+  return enc.Take();
 }
 
-Buffer AddressSpace::ProcessRequest(std::span<const std::uint8_t> message,
-                                    AsId origin) {
-  marshal::XdrDecoder dec(message);
-  auto hdr = DecodeRequestHeader(dec);
-  if (!hdr.ok()) return Buffer();  // cannot even address a reply
-  stats_.requests_served.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t id = hdr->request_id;
+// The reply to a create: the new container's id bits, or the error.
+template <class Id>
+Buffer CreatedReply(std::uint64_t id, const Result<Id>& created) {
+  if (!created.ok()) return EncodeStatusReply(id, created.status());
+  return OkReply(id, [&](auto& enc) { enc.PutU64(created->bits()); });
+}
 
-  switch (hdr->op) {
-    case Op::kCreateChannel: {
-      auto req = CreateReq::Decode(dec);
-      if (!req.ok()) return EncodeStatusReply(id, req.status());
-      ChannelAttr attr;
-      attr.capacity_items = static_cast<std::size_t>(req->capacity);
-      attr.debug_name = req->debug_name;
-      auto created = CreateChannel(attr);
-      if (!created.ok()) return EncodeStatusReply(id, created.status());
-      marshal::XdrEncoder enc;
-      EncodeResponseHeader(enc, id, OkStatus());
-      enc.PutU64(created->bits());
-      return enc.Take();
+}  // namespace
+
+// The op handlers. Each serves one decoded request through the same
+// public, location-transparent API an application thread uses, so a
+// surrogate's request for a container owned elsewhere is forwarded.
+struct AddressSpace::Ops {
+  static Buffer CreateChannel(AddressSpace& as, Request& r, AsId /*origin*/) {
+    const auto& req = std::get<CreateReq>(r.body);
+    return CreatedReply(r.header.request_id,
+                        as.CreateChannel({req.capacity, req.debug_name}));
+  }
+
+  static Buffer CreateQueue(AddressSpace& as, Request& r, AsId /*origin*/) {
+    const auto& req = std::get<CreateReq>(r.body);
+    return CreatedReply(r.header.request_id,
+                        as.CreateQueue({req.capacity, req.debug_name}));
+  }
+
+  static Buffer Attach(AddressSpace& as, Request& r, AsId origin) {
+    const auto& req = std::get<AttachReq>(r.body);
+    Result<Connection> conn =
+        req.is_queue
+            ? as.Connect(QueueId::FromBits(req.container_bits), req.mode,
+                         req.label)
+            : as.Connect(ChannelId::FromBits(req.container_bits), req.mode,
+                         req.label);
+    if (!conn.ok()) return EncodeStatusReply(r.header.request_id, conn.status());
+    // Remember which peer holds the slot so its connections can be
+    // detached (and its items reclaimed) if it dies.
+    if (origin != kInvalidAsId && conn->owner() == as.options_.id) {
+      ds::MutexLock lock(as.remote_attach_mu_);
+      as.remote_attachments_[AsIndex(origin)].push_back(
+          {req.container_bits, req.is_queue, conn->slot()});
     }
-    case Op::kCreateQueue: {
-      auto req = CreateReq::Decode(dec);
-      if (!req.ok()) return EncodeStatusReply(id, req.status());
-      QueueAttr attr;
-      attr.capacity_items = static_cast<std::size_t>(req->capacity);
-      attr.debug_name = req->debug_name;
-      auto created = CreateQueue(attr);
-      if (!created.ok()) return EncodeStatusReply(id, created.status());
-      marshal::XdrEncoder enc;
-      EncodeResponseHeader(enc, id, OkStatus());
-      enc.PutU64(created->bits());
-      return enc.Take();
-    }
-    case Op::kAttach: {
-      auto req = AttachReq::Decode(dec);
-      if (!req.ok()) return EncodeStatusReply(id, req.status());
-      Result<Connection> conn =
-          req->is_queue
-              ? Connect(QueueId::FromBits(req->container_bits), req->mode,
-                        req->label)
-              : Connect(ChannelId::FromBits(req->container_bits), req->mode,
-                        req->label);
-      if (!conn.ok()) return EncodeStatusReply(id, conn.status());
-      // Remember which peer holds the slot so its connections can be
-      // detached (and its items reclaimed) if it dies.
-      if (origin != kInvalidAsId && conn->owner() == options_.id) {
-        ds::MutexLock lock(remote_attach_mu_);
-        remote_attachments_[AsIndex(origin)].push_back(
-            {req->container_bits, req->is_queue, conn->slot()});
-      }
-      marshal::XdrEncoder enc;
-      EncodeResponseHeader(enc, id, OkStatus());
-      enc.PutU32(conn->slot());
-      return enc.Take();
-    }
-    case Op::kDetach: {
-      auto req = DetachReq::Decode(dec);
-      if (!req.ok()) return EncodeStatusReply(id, req.status());
-      const Connection conn(req->container_bits, req->is_queue,
-                            ConnMode::kInputOutput,
-                            OwnerOf(req->container_bits), req->slot);
-      Status status = Disconnect(conn);
-      if (status.ok() && origin != kInvalidAsId) {
-        ds::MutexLock lock(remote_attach_mu_);
-        auto it = remote_attachments_.find(AsIndex(origin));
-        if (it != remote_attachments_.end()) {
-          auto& atts = it->second;
-          for (auto att = atts.begin(); att != atts.end(); ++att) {
-            if (att->container_bits == req->container_bits &&
-                att->is_queue == req->is_queue && att->slot == req->slot) {
-              atts.erase(att);
-              break;
-            }
+    return OkReply(r.header.request_id,
+                   [&](auto& enc) { enc.PutU32(conn->slot()); });
+  }
+
+  static Buffer Detach(AddressSpace& as, Request& r, AsId origin) {
+    const auto& req = std::get<DetachReq>(r.body);
+    Status status = as.Disconnect({req.container_bits, req.is_queue,
+                                   ConnMode::kInputOutput,
+                                   OwnerOf(req.container_bits), req.slot});
+    if (status.ok() && origin != kInvalidAsId) {
+      ds::MutexLock lock(as.remote_attach_mu_);
+      auto it = as.remote_attachments_.find(AsIndex(origin));
+      if (it != as.remote_attachments_.end()) {
+        auto& atts = it->second;
+        for (auto att = atts.begin(); att != atts.end(); ++att) {
+          if (att->container_bits == req.container_bits &&
+              att->is_queue == req.is_queue && att->slot == req.slot) {
+            atts.erase(att);
+            break;
           }
         }
       }
-      return EncodeStatusReply(id, status);
     }
-    case Op::kPut: {
-      auto req = PutReq::Decode(dec);
-      if (!req.ok()) return EncodeStatusReply(id, req.status());
-      // Rebuild the caller's connection and run through the public,
-      // location-transparent API: surrogates route client calls to
-      // containers owned by any address space this way.
-      const Connection conn(req->container_bits, req->is_queue, req->mode,
-                            OwnerOf(req->container_bits), req->slot);
-      Status status = Put(conn, req->ts, std::move(req->payload),
-                          DecodeDeadline(req->deadline_ms));
-      return EncodeStatusReply(id, status);
+    return EncodeStatusReply(r.header.request_id, status);
+  }
+
+  static Buffer Put(AddressSpace& as, Request& r, AsId /*origin*/) {
+    auto& req = std::get<PutReq>(r.body);
+    // Rebuild the caller's connection and run through the public API.
+    const Connection conn(req.container_bits, req.is_queue, req.mode,
+                          OwnerOf(req.container_bits), req.slot);
+    return EncodeStatusReply(
+        r.header.request_id, as.Put(conn, req.ts, std::move(req.payload),
+                                    DecodeDeadline(req.deadline_ms)));
+  }
+
+  static Buffer Get(AddressSpace& as, Request& r, AsId /*origin*/) {
+    const auto& req = std::get<GetReq>(r.body);
+    const Connection conn(req.container_bits, req.is_queue, req.mode,
+                          OwnerOf(req.container_bits), req.slot);
+    const Deadline deadline = DecodeDeadline(req.deadline_ms);
+    Result<ItemView> item = req.is_queue ? as.Get(conn, deadline)
+                                         : as.Get(conn, req.spec, deadline);
+    if (!item.ok()) return EncodeStatusReply(r.header.request_id, item.status());
+    return EncodeItemReply(r.header.request_id, *item);
+  }
+
+  static Buffer Consume(AddressSpace& as, Request& r, AsId /*origin*/) {
+    const auto& req = std::get<ConsumeReq>(r.body);
+    const Connection conn(req.container_bits, req.is_queue, req.mode,
+                          OwnerOf(req.container_bits), req.slot);
+    return EncodeStatusReply(r.header.request_id,
+                             req.until ? as.ConsumeUntil(conn, req.ts)
+                                       : as.Consume(conn, req.ts));
+  }
+
+  static Buffer SetFilter(AddressSpace& as, Request& r, AsId /*origin*/) {
+    const auto& req = std::get<SetFilterReq>(r.body);
+    const Connection conn(req.container_bits, /*is_queue=*/false,
+                          ConnMode::kInput, OwnerOf(req.container_bits),
+                          req.slot);
+    return EncodeStatusReply(r.header.request_id,
+                             as.SetFilter(conn, req.filter));
+  }
+
+  // Name-server mutations. One from a peer AS (origin known) was routed
+  // here by that peer's failover wrapper, so a replica appends it or
+  // answers with a "leader=<id>" redirect — never forwards it onward
+  // (no replica-to-replica chains). One with no origin came from an
+  // end device via a surrogate on this AS: the public path routes it,
+  // retries and all.
+  static Buffer Mutation(AddressSpace& as, const Request& r, AsId origin,
+                         NsMutation m) {
+    if (!as.replog_ || origin == kInvalidAsId) {
+      return EncodeStatusReply(r.header.request_id, as.MutateNs(std::move(m)));
     }
-    case Op::kGet: {
-      auto req = GetReq::Decode(dec);
-      if (!req.ok()) return EncodeStatusReply(id, req.status());
-      const Connection conn(req->container_bits, req->is_queue, req->mode,
-                            OwnerOf(req->container_bits), req->slot);
-      Result<ItemView> item =
-          req->is_queue ? Get(conn, DecodeDeadline(req->deadline_ms))
-                        : Get(conn, req->spec, DecodeDeadline(req->deadline_ms));
-      if (!item.ok()) return EncodeStatusReply(id, item.status());
-      return EncodeItemReply(id, *item);
+    if (m.kind == NsMutation::Kind::kRegister &&
+        m.entry.owner_as == kInvalidAsId) {
+      m.entry.owner_as = as.options_.id;
     }
-    case Op::kConsume: {
-      auto req = ConsumeReq::Decode(dec);
-      if (!req.ok()) return EncodeStatusReply(id, req.status());
-      const Connection conn(req->container_bits, req->is_queue, req->mode,
-                            OwnerOf(req->container_bits), req->slot);
-      Status status = req->until ? ConsumeUntil(conn, req->ts)
-                                 : Consume(conn, req->ts);
-      return EncodeStatusReply(id, status);
-    }
-    case Op::kSetFilter: {
-      auto req = SetFilterReq::Decode(dec);
-      if (!req.ok()) return EncodeStatusReply(id, req.status());
-      const Connection conn(req->container_bits, /*is_queue=*/false,
-                            ConnMode::kInput, OwnerOf(req->container_bits),
-                            req->slot);
-      return EncodeStatusReply(id, SetFilter(conn, req->filter));
-    }
-    // Name-server ops. A request from a peer AS (origin known) was
-    // routed here by that peer's failover wrapper, so a replica serves
-    // it or answers with a "leader=<id>" redirect — never forwards
-    // onward (no replica-to-replica chains). A request with no origin
-    // came from an end device via a surrogate on this AS: the public
-    // wrapper routes it, retries and all.
-    case Op::kNsRegister: {
-      auto entry = DecodeNsEntry(dec);
-      if (!entry.ok()) return EncodeStatusReply(id, entry.status());
-      if (replog_ && origin != kInvalidAsId) {
-        NsMutation m;
-        m.kind = NsMutation::Kind::kRegister;
-        m.entry = *entry;
-        if (m.entry.owner_as == kInvalidAsId) m.entry.owner_as = options_.id;
-        return EncodeStatusReply(id, ServeNsMutation(m));
-      }
-      return EncodeStatusReply(id, NsRegister(*entry));
-    }
-    case Op::kNsUnregister: {
-      auto req = NsLookupReq::Decode(dec);
-      if (!req.ok()) return EncodeStatusReply(id, req.status());
-      if (replog_ && origin != kInvalidAsId) {
-        NsMutation m;
-        m.kind = NsMutation::Kind::kUnregister;
-        m.name = req->name;
-        return EncodeStatusReply(id, ServeNsMutation(m));
-      }
-      return EncodeStatusReply(id, NsUnregister(req->name));
-    }
-    case Op::kNsLookup: {
-      auto req = NsLookupReq::Decode(dec);
-      if (!req.ok()) return EncodeStatusReply(id, req.status());
-      if (replog_ && origin != kInvalidAsId && !replog_->LeaseFresh()) {
-        return EncodeStatusReply(id, StaleNsError());
-      }
-      auto entry = NsLookup(req->name, DecodeDeadline(req->deadline_ms));
-      if (!entry.ok()) return EncodeStatusReply(id, entry.status());
-      marshal::XdrEncoder enc;
-      EncodeResponseHeader(enc, id, OkStatus());
-      EncodeNsEntry(enc, *entry);
-      return enc.Take();
-    }
-    case Op::kNsList: {
-      auto req = NsLookupReq::Decode(dec);
-      if (!req.ok()) return EncodeStatusReply(id, req.status());
-      if (replog_ && origin != kInvalidAsId && !replog_->LeaseFresh()) {
-        return EncodeStatusReply(id, StaleNsError());
-      }
-      auto entries = NsList(req->name);
-      if (!entries.ok()) return EncodeStatusReply(id, entries.status());
-      marshal::XdrEncoder enc;
-      EncodeResponseHeader(enc, id, OkStatus());
+    return EncodeStatusReply(r.header.request_id,
+                             as.replog_->Append(EncodeNsMutation(m)));
+  }
+
+  static Buffer NsRegister(AddressSpace& as, Request& r, AsId origin) {
+    return Mutation(as, r, origin,
+                    {.kind = NsMutation::Kind::kRegister,
+                     .entry = std::get<NsEntry>(r.body)});
+  }
+
+  static Buffer NsUnregister(AddressSpace& as, Request& r, AsId origin) {
+    return Mutation(as, r, origin,
+                    {.kind = NsMutation::Kind::kUnregister,
+                     .name = std::get<NsLookupReq>(r.body).name});
+  }
+
+  static Buffer SessionPut(AddressSpace& as, Request& r, AsId origin) {
+    return Mutation(as, r, origin,
+                    {.kind = NsMutation::Kind::kPutSession,
+                     .session = std::get<SessionRecord>(r.body)});
+  }
+
+  static Buffer SessionDrop(AddressSpace& as, Request& r, AsId origin) {
+    return Mutation(as, r, origin,
+                    {.kind = NsMutation::Kind::kDropSession,
+                     .session_id = std::get<SessionIdReq>(r.body).session_id});
+  }
+
+  static Buffer SessionTick(AddressSpace& as, Request& r, AsId origin) {
+    const auto& req = std::get<SessionTickReq>(r.body);
+    return Mutation(as, r, origin,
+                    {.kind = NsMutation::Kind::kTickSession,
+                     .session_id = req.session_id,
+                     .ticket = req.ticket});
+  }
+
+  // Name-server reads: a replica whose lease view is stale refuses a
+  // peer's read (the peer fails over) rather than answer it stale.
+  static bool StaleForPeer(AddressSpace& as, AsId origin) {
+    return as.replog_ && origin != kInvalidAsId && !as.replog_->LeaseFresh();
+  }
+
+  static Buffer NsLookup(AddressSpace& as, Request& r, AsId origin) {
+    const std::uint64_t id = r.header.request_id;
+    if (StaleForPeer(as, origin)) return EncodeStatusReply(id, as.StaleNsError());
+    const auto& req = std::get<NsLookupReq>(r.body);
+    auto entry = as.NsLookup(req.name, DecodeDeadline(req.deadline_ms));
+    if (!entry.ok()) return EncodeStatusReply(id, entry.status());
+    return OkReply(id, [&](auto& enc) { EncodeNsEntry(enc, *entry); });
+  }
+
+  static Buffer NsList(AddressSpace& as, Request& r, AsId origin) {
+    const std::uint64_t id = r.header.request_id;
+    if (StaleForPeer(as, origin)) return EncodeStatusReply(id, as.StaleNsError());
+    auto entries = as.NsList(std::get<NsLookupReq>(r.body).name);
+    if (!entries.ok()) return EncodeStatusReply(id, entries.status());
+    return OkReply(id, [&](auto& enc) {
       enc.PutU32(static_cast<std::uint32_t>(entries->size()));
       for (const auto& entry : *entries) EncodeNsEntry(enc, entry);
-      return enc.Take();
-    }
-    case Op::kSessionPut: {
-      auto rec = DecodeSessionRecord(dec);
-      if (!rec.ok()) return EncodeStatusReply(id, rec.status());
-      if (replog_ && origin != kInvalidAsId) {
-        NsMutation m;
-        m.kind = NsMutation::Kind::kPutSession;
-        m.session = *rec;
-        return EncodeStatusReply(id, ServeNsMutation(m));
-      }
-      return EncodeStatusReply(id, SessionPut(*rec));
-    }
-    case Op::kSessionGet: {
-      auto req = SessionIdReq::Decode(dec);
-      if (!req.ok()) return EncodeStatusReply(id, req.status());
-      if (replog_ && origin != kInvalidAsId && !replog_->LeaseFresh()) {
-        return EncodeStatusReply(id, StaleNsError());
-      }
-      auto rec = SessionGet(req->session_id);
-      if (!rec.ok()) return EncodeStatusReply(id, rec.status());
-      marshal::XdrEncoder enc;
-      EncodeResponseHeader(enc, id, OkStatus());
-      EncodeSessionRecord(enc, *rec);
-      return enc.Take();
-    }
-    case Op::kSessionDrop: {
-      auto req = SessionIdReq::Decode(dec);
-      if (!req.ok()) return EncodeStatusReply(id, req.status());
-      if (replog_ && origin != kInvalidAsId) {
-        NsMutation m;
-        m.kind = NsMutation::Kind::kDropSession;
-        m.session_id = req->session_id;
-        return EncodeStatusReply(id, ServeNsMutation(m));
-      }
-      return EncodeStatusReply(id, SessionDrop(req->session_id));
-    }
-    case Op::kSessionTick: {
-      auto req = SessionTickReq::Decode(dec);
-      if (!req.ok()) return EncodeStatusReply(id, req.status());
-      if (replog_ && origin != kInvalidAsId) {
-        NsMutation m;
-        m.kind = NsMutation::Kind::kTickSession;
-        m.session_id = req->session_id;
-        m.ticket = req->ticket;
-        return EncodeStatusReply(id, ServeNsMutation(m));
-      }
-      return EncodeStatusReply(id, SessionTick(req->session_id, req->ticket));
-    }
-    // Control-plane replication (replica-internal; see core/replog.hpp).
-    case Op::kRepAppend: {
-      auto req = RepAppendReq::Decode(dec);
-      if (!req.ok()) return EncodeStatusReply(id, req.status());
-      if (!replog_) {
-        return EncodeStatusReply(id,
-                                 FailedPreconditionError("not an ns replica"));
-      }
-      RepAppendAck ack;
-      const Status st = replog_->HandleAppend(*req, ack);
-      // The ack body rides along even on rejection: it carries this
-      // replica's term, which is how a deposed leader learns to step
-      // down.
-      marshal::XdrEncoder enc;
-      EncodeResponseHeader(enc, id, st);
-      ack.Encode(enc);
-      return enc.Take();
-    }
-    case Op::kRepFetch: {
-      auto req = RepFetchReq::Decode(dec);
-      if (!req.ok()) return EncodeStatusReply(id, req.status());
-      if (!replog_) {
-        return EncodeStatusReply(id,
-                                 FailedPreconditionError("not an ns replica"));
-      }
-      const RepFetchResp resp = replog_->HandleFetch(*req);
-      marshal::XdrEncoder enc;
-      EncodeResponseHeader(enc, id, OkStatus());
-      resp.Encode(enc);
-      return enc.Take();
-    }
-    case Op::kMetrics: {
-      auto req = MetricsReq::Decode(dec);
-      if (!req.ok()) return EncodeStatusReply(id, req.status());
-      // Serve locally or forward to the target space (same pattern as
-      // the NS ops), so a surrogate can introspect any space for its
-      // end device and dsctl can fan out from one peer.
-      auto snapshot = MetricsSnapshot(static_cast<AsId>(req->target_as));
-      if (!snapshot.ok()) return EncodeStatusReply(id, snapshot.status());
-      marshal::XdrEncoder enc;
-      EncodeResponseHeader(enc, id, OkStatus());
-      enc.PutString(*snapshot);
-      return enc.Take();
-    }
-    case Op::kReply:
-      break;
+    });
   }
-  return EncodeStatusReply(id, InternalError("unknown op"));
+
+  static Buffer SessionGet(AddressSpace& as, Request& r, AsId origin) {
+    const std::uint64_t id = r.header.request_id;
+    if (StaleForPeer(as, origin)) return EncodeStatusReply(id, as.StaleNsError());
+    auto rec = as.SessionGet(std::get<SessionIdReq>(r.body).session_id);
+    if (!rec.ok()) return EncodeStatusReply(id, rec.status());
+    return OkReply(id, [&](auto& enc) { EncodeSessionRecord(enc, *rec); });
+  }
+
+  static Buffer Metrics(AddressSpace& as, Request& r, AsId /*origin*/) {
+    // Serve locally or forward to the target space (same pattern as
+    // the NS ops), so a surrogate can introspect any space for its
+    // end device and dsctl can fan out from one peer.
+    auto snapshot = as.MetricsSnapshot(
+        static_cast<AsId>(std::get<MetricsReq>(r.body).target_as));
+    if (!snapshot.ok()) {
+      return EncodeStatusReply(r.header.request_id, snapshot.status());
+    }
+    return OkReply(r.header.request_id,
+                   [&](auto& enc) { enc.PutString(*snapshot); });
+  }
+
+  // Control-plane replication (replica-internal; see core/replog.hpp).
+  static Buffer RepAppend(AddressSpace& as, Request& r, AsId /*origin*/) {
+    if (!as.replog_) {
+      return EncodeStatusReply(r.header.request_id,
+                               FailedPreconditionError("not an ns replica"));
+    }
+    RepAppendAck ack;
+    const Status st =
+        as.replog_->HandleAppend(std::get<RepAppendReq>(r.body), ack);
+    // The ack body rides along even on rejection: it carries this
+    // replica's term, which is how a deposed leader learns to step
+    // down.
+    marshal::XdrEncoder enc;
+    EncodeResponseHeader(enc, r.header.request_id, st);
+    ack.Encode(enc);
+    return enc.Take();
+  }
+
+  static Buffer RepFetch(AddressSpace& as, Request& r, AsId /*origin*/) {
+    if (!as.replog_) {
+      return EncodeStatusReply(r.header.request_id,
+                               FailedPreconditionError("not an ns replica"));
+    }
+    const RepFetchResp resp =
+        as.replog_->HandleFetch(std::get<RepFetchReq>(r.body));
+    return OkReply(r.header.request_id, [&](auto& enc) { resp.Encode(enc); });
+  }
+
+  // --- deferrable ops ----------------------------------------------------
+
+  // The continuation of a suspended request. Tags the waiter with the
+  // caller's AS index so OnPeerDown can cancel it; anonymous callers
+  // share the no-origin sentinel and are completed only by deadline,
+  // container close, or shutdown. `finish(status, reply)` ends the
+  // "owner.parked" span (it may run on the producer's or the timer
+  // wheel's thread), counts an expiry, and sends `reply` exactly once.
+  struct Parked {
+    std::uint32_t origin_tag;
+    std::function<void(const Status&, Buffer)> finish;
+  };
+  static Parked Park(AddressSpace& as, const RequestHeader& hdr, AsId origin,
+                     const transport::SockAddr& from, const char* what) {
+    auto reply = std::make_shared<DeferredReply>(
+        hdr.request_id, [&as, from](Buffer encoded) {
+          if (!encoded.empty()) (void)as.endpoint_->Send(from, encoded);
+        });
+    auto span = std::make_shared<trace::PendingSpan>(&as.span_sink_,
+                                                     "owner.parked", hdr.trace);
+    as.m_dispatch_deferred_->Add();
+    return {origin == kInvalidAsId ? kNoWaiterOrigin : AsIndex(origin),
+            [&as, hdr, what, reply, span](const Status& st, Buffer encoded) {
+              span->Finish();
+              if (st.code() == StatusCode::kTimeout) {
+                as.m_dropped_or_expired_->Add();
+                DS_LOG(kWarn) << "parked " << what << " " << hdr.request_id
+                              << " expired at deadline, trace="
+                              << TraceTag(hdr.trace);
+              }
+              (void)reply->Complete(std::move(encoded));
+            }};
+  }
+
+  static bool SuspendGet(AddressSpace& as, Request& r, AsId origin,
+                         const transport::SockAddr& from) {
+    const auto& req = std::get<GetReq>(r.body);
+    if (OwnerOf(req.container_bits) != as.options_.id) return false;
+    as.stats_.gets.fetch_add(1, std::memory_order_relaxed);
+    Parked parked = Park(as, r.header, origin, from, "get");
+    auto done = [&as, id = r.header.request_id,
+                 finish = parked.finish](Result<ItemView> item) {
+      if (!item.ok()) {
+        finish(item.status(), EncodeStatusReply(id, item.status()));
+        return;
+      }
+      as.stats_.bytes_got.fetch_add(item->payload.size(),
+                                    std::memory_order_relaxed);
+      finish(OkStatus(), EncodeItemReply(id, *item));
+    };
+    const Deadline deadline = DecodeDeadline(req.deadline_ms);
+    if (req.is_queue) {
+      auto q = as.FindQueue(req.container_bits);
+      if (!q) {
+        done(NotFoundError("queue"));
+        return true;
+      }
+      q->GetAsync(req.slot, deadline, std::move(done), parked.origin_tag);
+    } else {
+      auto ch = as.FindChannel(req.container_bits);
+      if (!ch) {
+        done(NotFoundError("channel"));
+        return true;
+      }
+      ch->GetAsync(req.slot, req.spec, deadline, std::move(done),
+                   parked.origin_tag);
+    }
+    return true;
+  }
+
+  static bool SuspendPut(AddressSpace& as, Request& r, AsId origin,
+                         const transport::SockAddr& from) {
+    auto& req = std::get<PutReq>(r.body);
+    if (OwnerOf(req.container_bits) != as.options_.id) return false;
+    as.stats_.puts.fetch_add(1, std::memory_order_relaxed);
+    as.stats_.bytes_put.fetch_add(req.payload.size(),
+                                  std::memory_order_relaxed);
+    Parked parked = Park(as, r.header, origin, from, "put");
+    auto done = [id = r.header.request_id,
+                 finish = parked.finish](Status st) {
+      finish(st, EncodeStatusReply(id, st));
+    };
+    if (!CanOutput(req.mode)) {
+      done(PermissionDeniedError("connection is input-only"));
+      return true;
+    }
+    const Deadline deadline = DecodeDeadline(req.deadline_ms);
+    SharedBuffer payload(std::move(req.payload));
+    if (req.is_queue) {
+      auto q = as.FindQueue(req.container_bits);
+      if (!q) {
+        done(NotFoundError("queue"));
+        return true;
+      }
+      q->PutAsync(req.ts, std::move(payload), deadline, std::move(done),
+                  parked.origin_tag);
+    } else {
+      auto ch = as.FindChannel(req.container_bits);
+      if (!ch) {
+        done(NotFoundError("channel"));
+        return true;
+      }
+      ch->PutAsync(req.ts, std::move(payload), deadline, std::move(done),
+                   parked.origin_tag);
+    }
+    return true;
+  }
+};
+
+const AddressSpace::OpHandler* AddressSpace::HandlerFor(Op op) {
+  // Indexed by op - 1; the static_assert below keeps it that way.
+  static constexpr OpHandler kTable[] = {
+      {Op::kCreateChannel, &Ops::CreateChannel, nullptr},
+      {Op::kCreateQueue, &Ops::CreateQueue, nullptr},
+      {Op::kAttach, &Ops::Attach, nullptr},
+      {Op::kDetach, &Ops::Detach, nullptr},
+      {Op::kPut, &Ops::Put, &Ops::SuspendPut},
+      {Op::kGet, &Ops::Get, &Ops::SuspendGet},
+      {Op::kConsume, &Ops::Consume, nullptr},
+      {Op::kNsRegister, &Ops::NsRegister, nullptr},
+      {Op::kNsLookup, &Ops::NsLookup, nullptr},
+      {Op::kNsUnregister, &Ops::NsUnregister, nullptr},
+      {Op::kNsList, &Ops::NsList, nullptr},
+      {Op::kSetFilter, &Ops::SetFilter, nullptr},
+      {Op::kSessionPut, &Ops::SessionPut, nullptr},
+      {Op::kSessionGet, &Ops::SessionGet, nullptr},
+      {Op::kSessionDrop, &Ops::SessionDrop, nullptr},
+      {Op::kSessionTick, &Ops::SessionTick, nullptr},
+      {Op::kMetrics, &Ops::Metrics, nullptr},
+      {Op::kRepAppend, &Ops::RepAppend, nullptr},
+      {Op::kRepFetch, &Ops::RepFetch, nullptr},
+  };
+  static_assert(
+      [] {
+        for (std::size_t i = 0; i < std::size(kTable); ++i) {
+          if (kTable[i].op != static_cast<Op>(i + 1)) return false;
+        }
+        return true;
+      }(),
+      "the op-handler table is indexed by op - 1");
+  const std::size_t index = static_cast<std::size_t>(op) - 1;
+  return index < std::size(kTable) ? &kTable[index] : nullptr;
 }
 
 // --- containers --------------------------------------------------------------
@@ -1030,41 +1060,25 @@ Result<QueueId> AddressSpace::CreateQueue(const QueueAttr& attr) {
   return qid;
 }
 
-namespace {
-template <typename Attr>
-CreateReq MakeCreateReq(const Attr& attr) {
-  CreateReq req;
-  req.capacity = attr.capacity_items;
-  req.debug_name = attr.debug_name;
-  return req;
-}
-}  // namespace
-
 Result<ChannelId> AddressSpace::CreateChannelOn(AsId owner,
                                                 const ChannelAttr& attr) {
   if (owner == options_.id) return CreateChannel(attr);
-  marshal::XdrEncoder enc;
-  EncodeRequestHeader(enc, Op::kCreateChannel, next_request_id_.fetch_add(1));
-  MakeCreateReq(attr).Encode(enc);
-  DS_ASSIGN_OR_RETURN(Buffer reply,
-                      Call(owner, enc.Take(), InternalDeadline()));
-  marshal::XdrDecoder dec(reply);
-  DS_ASSIGN_OR_RETURN(auto hdr, DecodeResponseHeader(dec));
-  if (!hdr.status.ok()) return hdr.status;
+  DS_ASSIGN_OR_RETURN(Reply reply,
+                      Call(owner, Op::kCreateChannel,
+                           CreateReq{attr.capacity_items, attr.debug_name},
+                           InternalDeadline()));
+  marshal::XdrDecoder dec = reply.body();
   DS_ASSIGN_OR_RETURN(std::uint64_t bits, dec.GetU64());
   return ChannelId::FromBits(bits);
 }
 
 Result<QueueId> AddressSpace::CreateQueueOn(AsId owner, const QueueAttr& attr) {
   if (owner == options_.id) return CreateQueue(attr);
-  marshal::XdrEncoder enc;
-  EncodeRequestHeader(enc, Op::kCreateQueue, next_request_id_.fetch_add(1));
-  MakeCreateReq(attr).Encode(enc);
-  DS_ASSIGN_OR_RETURN(Buffer reply,
-                      Call(owner, enc.Take(), InternalDeadline()));
-  marshal::XdrDecoder dec(reply);
-  DS_ASSIGN_OR_RETURN(auto hdr, DecodeResponseHeader(dec));
-  if (!hdr.status.ok()) return hdr.status;
+  DS_ASSIGN_OR_RETURN(Reply reply,
+                      Call(owner, Op::kCreateQueue,
+                           CreateReq{attr.capacity_items, attr.debug_name},
+                           InternalDeadline()));
+  marshal::XdrDecoder dec = reply.body();
   DS_ASSIGN_OR_RETURN(std::uint64_t bits, dec.GetU64());
   return QueueId::FromBits(bits);
 }
@@ -1097,19 +1111,12 @@ Result<Connection> AddressSpace::Connect(ChannelId ch, ConnMode mode,
     return Connection(ch.bits(), false, mode, ch.owner(),
                       channel->Attach(mode, std::move(label)));
   }
-  AttachReq req;
-  req.container_bits = ch.bits();
-  req.is_queue = false;
-  req.mode = mode;
-  req.label = label;
-  marshal::XdrEncoder enc;
-  EncodeRequestHeader(enc, Op::kAttach, next_request_id_.fetch_add(1));
-  req.Encode(enc);
-  DS_ASSIGN_OR_RETURN(Buffer reply,
-                      Call(ch.owner(), enc.Take(), InternalDeadline()));
-  marshal::XdrDecoder dec(reply);
-  DS_ASSIGN_OR_RETURN(auto hdr, DecodeResponseHeader(dec));
-  if (!hdr.status.ok()) return hdr.status;
+  DS_ASSIGN_OR_RETURN(
+      Reply reply,
+      Call(ch.owner(), Op::kAttach,
+           AttachReq{ch.bits(), /*is_queue=*/false, mode, std::move(label)},
+           InternalDeadline()));
+  marshal::XdrDecoder dec = reply.body();
   DS_ASSIGN_OR_RETURN(std::uint32_t slot, dec.GetU32());
   return Connection(ch.bits(), false, mode, ch.owner(), slot);
 }
@@ -1124,19 +1131,12 @@ Result<Connection> AddressSpace::Connect(QueueId q, ConnMode mode,
     return Connection(q.bits(), true, mode, q.owner(),
                       queue->Attach(mode, std::move(label)));
   }
-  AttachReq req;
-  req.container_bits = q.bits();
-  req.is_queue = true;
-  req.mode = mode;
-  req.label = label;
-  marshal::XdrEncoder enc;
-  EncodeRequestHeader(enc, Op::kAttach, next_request_id_.fetch_add(1));
-  req.Encode(enc);
-  DS_ASSIGN_OR_RETURN(Buffer reply,
-                      Call(q.owner(), enc.Take(), InternalDeadline()));
-  marshal::XdrDecoder dec(reply);
-  DS_ASSIGN_OR_RETURN(auto hdr, DecodeResponseHeader(dec));
-  if (!hdr.status.ok()) return hdr.status;
+  DS_ASSIGN_OR_RETURN(
+      Reply reply,
+      Call(q.owner(), Op::kAttach,
+           AttachReq{q.bits(), /*is_queue=*/true, mode, std::move(label)},
+           InternalDeadline()));
+  marshal::XdrDecoder dec = reply.body();
   DS_ASSIGN_OR_RETURN(std::uint32_t slot, dec.GetU32());
   return Connection(q.bits(), true, mode, q.owner(), slot);
 }
@@ -1152,19 +1152,10 @@ Status AddressSpace::Disconnect(const Connection& conn) {
     auto ch = FindChannel(conn.container_bits());
     return ch ? ch->Detach(conn.slot()) : NotFoundError("channel");
   }
-  DetachReq req;
-  req.container_bits = conn.container_bits();
-  req.is_queue = conn.is_queue();
-  req.slot = conn.slot();
-  marshal::XdrEncoder enc;
-  EncodeRequestHeader(enc, Op::kDetach, next_request_id_.fetch_add(1));
-  req.Encode(enc);
-  DS_ASSIGN_OR_RETURN(
-      Buffer reply,
-      Call(conn.owner(), enc.Take(), InternalDeadline()));
-  marshal::XdrDecoder dec(reply);
-  DS_ASSIGN_OR_RETURN(auto hdr, DecodeResponseHeader(dec));
-  return hdr.status;
+  return Call(conn.owner(), Op::kDetach,
+              DetachReq{conn.container_bits(), conn.is_queue(), conn.slot()},
+              InternalDeadline())
+      .status();
 }
 
 // --- I/O ------------------------------------------------------------------------
@@ -1192,21 +1183,12 @@ Status AddressSpace::Put(const Connection& conn, Timestamp ts, Buffer payload,
     return ch ? ch->Put(ts, std::move(shared), deadline)
               : NotFoundError("channel");
   }
-  PutReq req;
-  req.container_bits = conn.container_bits();
-  req.is_queue = conn.is_queue();
-  req.mode = conn.mode();
-  req.slot = conn.slot();
-  req.ts = ts;
-  req.deadline_ms = EncodeDeadline(deadline);
-  req.payload = std::move(payload);
-  marshal::XdrEncoder enc(req.payload.size() + 96);
-  EncodeRequestHeader(enc, Op::kPut, next_request_id_.fetch_add(1));
-  req.Encode(enc);
-  DS_ASSIGN_OR_RETURN(Buffer reply, Call(conn.owner(), enc.Take(), deadline));
-  marshal::XdrDecoder dec(reply);
-  DS_ASSIGN_OR_RETURN(auto hdr, DecodeResponseHeader(dec));
-  return hdr.status;
+  return Call(conn.owner(), Op::kPut,
+              PutReq{conn.container_bits(), conn.is_queue(), conn.mode(),
+                     conn.slot(), ts, EncodeDeadline(deadline),
+                     std::move(payload)},
+              deadline)
+      .status();
 }
 
 Result<ItemView> AddressSpace::Get(const Connection& conn, GetSpec spec,
@@ -1233,20 +1215,13 @@ Result<ItemView> AddressSpace::Get(const Connection& conn, GetSpec spec,
     }
     return item;
   }
-  GetReq req;
-  req.container_bits = conn.container_bits();
-  req.is_queue = conn.is_queue();
-  req.mode = conn.mode();
-  req.slot = conn.slot();
-  req.spec = spec;
-  req.deadline_ms = EncodeDeadline(deadline);
-  marshal::XdrEncoder enc;
-  EncodeRequestHeader(enc, Op::kGet, next_request_id_.fetch_add(1));
-  req.Encode(enc);
-  DS_ASSIGN_OR_RETURN(Buffer reply, Call(conn.owner(), enc.Take(), deadline));
-  marshal::XdrDecoder dec(reply);
-  DS_ASSIGN_OR_RETURN(auto hdr, DecodeResponseHeader(dec));
-  if (!hdr.status.ok()) return hdr.status;
+  DS_ASSIGN_OR_RETURN(
+      Reply reply,
+      Call(conn.owner(), Op::kGet,
+           GetReq{conn.container_bits(), conn.is_queue(), conn.mode(),
+                  conn.slot(), spec, EncodeDeadline(deadline)},
+           deadline));
+  marshal::XdrDecoder dec = reply.body();
   ItemView view;
   DS_ASSIGN_OR_RETURN(view.timestamp, dec.GetI64());
   DS_ASSIGN_OR_RETURN(Buffer payload, dec.GetOpaque());
@@ -1270,22 +1245,11 @@ Status AddressSpace::Consume(const Connection& conn, Timestamp ts) {
     auto ch = FindChannel(conn.container_bits());
     return ch ? ch->Consume(conn.slot(), ts) : NotFoundError("channel");
   }
-  ConsumeReq req;
-  req.container_bits = conn.container_bits();
-  req.is_queue = conn.is_queue();
-  req.mode = conn.mode();
-  req.slot = conn.slot();
-  req.ts = ts;
-  req.until = false;
-  marshal::XdrEncoder enc;
-  EncodeRequestHeader(enc, Op::kConsume, next_request_id_.fetch_add(1));
-  req.Encode(enc);
-  DS_ASSIGN_OR_RETURN(
-      Buffer reply,
-      Call(conn.owner(), enc.Take(), InternalDeadline()));
-  marshal::XdrDecoder dec(reply);
-  DS_ASSIGN_OR_RETURN(auto hdr, DecodeResponseHeader(dec));
-  return hdr.status;
+  return Call(conn.owner(), Op::kConsume,
+              ConsumeReq{conn.container_bits(), conn.is_queue(), conn.mode(),
+                         conn.slot(), ts, /*until=*/false},
+              InternalDeadline())
+      .status();
 }
 
 Status AddressSpace::ConsumeUntil(const Connection& conn, Timestamp ts) {
@@ -1298,22 +1262,11 @@ Status AddressSpace::ConsumeUntil(const Connection& conn, Timestamp ts) {
     auto ch = FindChannel(conn.container_bits());
     return ch ? ch->ConsumeUntil(conn.slot(), ts) : NotFoundError("channel");
   }
-  ConsumeReq req;
-  req.container_bits = conn.container_bits();
-  req.is_queue = false;
-  req.mode = conn.mode();
-  req.slot = conn.slot();
-  req.ts = ts;
-  req.until = true;
-  marshal::XdrEncoder enc;
-  EncodeRequestHeader(enc, Op::kConsume, next_request_id_.fetch_add(1));
-  req.Encode(enc);
-  DS_ASSIGN_OR_RETURN(
-      Buffer reply,
-      Call(conn.owner(), enc.Take(), InternalDeadline()));
-  marshal::XdrDecoder dec(reply);
-  DS_ASSIGN_OR_RETURN(auto hdr, DecodeResponseHeader(dec));
-  return hdr.status;
+  return Call(conn.owner(), Op::kConsume,
+              ConsumeReq{conn.container_bits(), /*is_queue=*/false,
+                         conn.mode(), conn.slot(), ts, /*until=*/true},
+              InternalDeadline())
+      .status();
 }
 
 Status AddressSpace::SetFilter(const Connection& conn,
@@ -1326,19 +1279,10 @@ Status AddressSpace::SetFilter(const Connection& conn,
     auto ch = FindChannel(conn.container_bits());
     return ch ? ch->SetFilter(conn.slot(), filter) : NotFoundError("channel");
   }
-  SetFilterReq req;
-  req.container_bits = conn.container_bits();
-  req.slot = conn.slot();
-  req.filter = filter;
-  marshal::XdrEncoder enc;
-  EncodeRequestHeader(enc, Op::kSetFilter, next_request_id_.fetch_add(1));
-  req.Encode(enc);
-  DS_ASSIGN_OR_RETURN(
-      Buffer reply,
-      Call(conn.owner(), enc.Take(), InternalDeadline()));
-  marshal::XdrDecoder dec(reply);
-  DS_ASSIGN_OR_RETURN(auto hdr, DecodeResponseHeader(dec));
-  return hdr.status;
+  return Call(conn.owner(), Op::kSetFilter,
+              SetFilterReq{conn.container_bits(), conn.slot(), filter},
+              InternalDeadline())
+      .status();
 }
 
 // --- handler functions -----------------------------------------------------------
@@ -1374,48 +1318,23 @@ bool IsNsRedirect(const Status& s) {
          s.message().rfind("not leader", 0) == 0;
 }
 
-Op MutationOp(NsMutation::Kind kind) {
-  switch (kind) {
-    case NsMutation::Kind::kRegister: return Op::kNsRegister;
-    case NsMutation::Kind::kUnregister: return Op::kNsUnregister;
-    case NsMutation::Kind::kPutSession: return Op::kSessionPut;
-    case NsMutation::Kind::kDropSession: return Op::kSessionDrop;
-    case NsMutation::Kind::kTickSession: return Op::kSessionTick;
-    case NsMutation::Kind::kPurgeOwner: break;  // log-only, never routed
-  }
-  return Op::kReply;
-}
-
-void EncodeMutationBody(marshal::XdrEncoder& enc, const NsMutation& m) {
+// The request that routes a mutation to the leader.
+std::pair<Op, RequestBody> MutationRequest(const NsMutation& m) {
   switch (m.kind) {
     case NsMutation::Kind::kRegister:
-      EncodeNsEntry(enc, m.entry);
-      return;
-    case NsMutation::Kind::kUnregister: {
-      NsLookupReq req;
-      req.name = m.name;
-      req.Encode(enc);
-      return;
-    }
+      return {Op::kNsRegister, m.entry};
+    case NsMutation::Kind::kUnregister:
+      return {Op::kNsUnregister, NsLookupReq{m.name}};
     case NsMutation::Kind::kPutSession:
-      EncodeSessionRecord(enc, m.session);
-      return;
-    case NsMutation::Kind::kDropSession: {
-      SessionIdReq req;
-      req.session_id = m.session_id;
-      req.Encode(enc);
-      return;
-    }
-    case NsMutation::Kind::kTickSession: {
-      SessionTickReq req;
-      req.session_id = m.session_id;
-      req.ticket = m.ticket;
-      req.Encode(enc);
-      return;
-    }
+      return {Op::kSessionPut, m.session};
+    case NsMutation::Kind::kDropSession:
+      return {Op::kSessionDrop, SessionIdReq{m.session_id}};
+    case NsMutation::Kind::kTickSession:
+      return {Op::kSessionTick, SessionTickReq{m.session_id, m.ticket}};
     case NsMutation::Kind::kPurgeOwner:
-      return;
+      break;  // log-only, never routed
   }
+  return {Op::kReply, std::monostate{}};
 }
 
 }  // namespace
@@ -1439,17 +1358,8 @@ Status AddressSpace::StaleNsError() const {
                               : std::to_string(AsIndex(leader))));
 }
 
-Status AddressSpace::ServeNsMutation(const NsMutation& m) {
-  if (!replog_) {
-    return name_server_ ? name_server_->Apply(m)
-                        : FailedPreconditionError("not an ns replica");
-  }
-  return replog_->Append(EncodeNsMutation(m));
-}
-
-Result<Buffer> AddressSpace::CallNsService(
-    const std::function<Buffer(std::uint64_t request_id)>& make_request,
-    Deadline deadline) {
+Result<Reply> AddressSpace::CallNsService(Op op, const RequestBody& body,
+                                          Deadline deadline) {
   std::vector<AsId> targets = NsTargets();
   if (targets.empty()) {
     return FailedPreconditionError("no name-server address space set");
@@ -1470,23 +1380,17 @@ Result<Buffer> AddressSpace::CallNsService(
         last = UnavailableError("ns replica declared dead");
         continue;
       }
-      auto reply =
-          Call(target, make_request(next_request_id_.fetch_add(1)), deadline);
+      auto reply = Exchange(target, op, body, deadline);
       if (!reply.ok()) {
         last = reply.status();
         continue;  // transport failure: rotate
       }
-      marshal::XdrDecoder dec(*reply);
-      auto hdr = DecodeResponseHeader(dec);
-      if (!hdr.ok()) {
-        last = hdr.status();
-        continue;
-      }
-      if (hdr->status.code() == StatusCode::kUnavailable) {
+      if (reply->status.code() == StatusCode::kUnavailable) {
         // Redirect ("not leader"), stale lease, or lost quorum: note
         // any leader hint for future calls and keep rotating.
-        last = hdr->status;
-        const AsId hint = RepLog::LeaderHintFromMessage(hdr->status.message());
+        last = reply->status;
+        const AsId hint =
+            RepLog::LeaderHintFromMessage(reply->status.message());
         if (hint != kInvalidAsId) NoteNsLeader(hint);
         continue;
       }
@@ -1501,7 +1405,16 @@ Result<Buffer> AddressSpace::CallNsService(
   return last;
 }
 
-Status AddressSpace::MutateNs(const NsMutation& m) {
+Status AddressSpace::MutateNs(NsMutation m) {
+  stats_.ns_ops.fetch_add(1, std::memory_order_relaxed);
+  // Stamp ownership before the entry crosses the wire: recovery purges
+  // a dead space's names by this field. Entries arriving with ownership
+  // already set (forwarded registrations) keep it; entries from end
+  // devices get their host AS, since the host is what can die.
+  if (m.kind == NsMutation::Kind::kRegister &&
+      m.entry.owner_as == kInvalidAsId) {
+    m.entry.owner_as = options_.id;
+  }
   if (replog_) {
     Status s = replog_->Append(EncodeNsMutation(m));
     if (!IsNsRedirect(s)) return s;
@@ -1509,39 +1422,17 @@ Status AddressSpace::MutateNs(const NsMutation& m) {
   } else if (name_server_) {
     return name_server_->Apply(m);
   }
-  auto reply = CallNsService(
-      [&m](std::uint64_t request_id) {
-        marshal::XdrEncoder enc;
-        EncodeRequestHeader(enc, MutationOp(m.kind), request_id);
-        EncodeMutationBody(enc, m);
-        return enc.Take();
-      },
-      InternalDeadline());
-  if (!reply.ok()) return reply.status();
-  marshal::XdrDecoder dec(*reply);
-  DS_ASSIGN_OR_RETURN(auto hdr, DecodeResponseHeader(dec));
-  return hdr.status;
+  const auto [op, body] = MutationRequest(m);
+  auto reply = CallNsService(op, body, InternalDeadline());
+  return reply.ok() ? reply->status : reply.status();
 }
 
 Status AddressSpace::NsRegister(const NsEntry& entry) {
-  stats_.ns_ops.fetch_add(1, std::memory_order_relaxed);
-  // Stamp ownership before the entry crosses the wire: recovery purges
-  // a dead space's names by this field. Entries arriving with ownership
-  // already set (forwarded registrations) keep it; entries from end
-  // devices get their host AS, since the host is what can die.
-  NsMutation m;
-  m.kind = NsMutation::Kind::kRegister;
-  m.entry = entry;
-  if (m.entry.owner_as == kInvalidAsId) m.entry.owner_as = options_.id;
-  return MutateNs(m);
+  return MutateNs({.kind = NsMutation::Kind::kRegister, .entry = entry});
 }
 
 Status AddressSpace::NsUnregister(const std::string& name) {
-  stats_.ns_ops.fetch_add(1, std::memory_order_relaxed);
-  NsMutation m;
-  m.kind = NsMutation::Kind::kUnregister;
-  m.name = name;
-  return MutateNs(m);
+  return MutateNs({.kind = NsMutation::Kind::kUnregister, .name = name});
 }
 
 Result<NsEntry> AddressSpace::NsLookup(const std::string& name,
@@ -1553,17 +1444,8 @@ Result<NsEntry> AddressSpace::NsLookup(const std::string& name,
   if (name_server_ && (!replog_ || replog_->LeaseFresh())) {
     return name_server_->Lookup(name, deadline);
   }
-  NsLookupReq req;
-  req.name = name;
-  req.deadline_ms = EncodeDeadline(deadline);
   auto reply = CallNsService(
-      [&req](std::uint64_t request_id) {
-        marshal::XdrEncoder enc;
-        EncodeRequestHeader(enc, Op::kNsLookup, request_id);
-        req.Encode(enc);
-        return enc.Take();
-      },
-      deadline);
+      Op::kNsLookup, NsLookupReq{name, EncodeDeadline(deadline)}, deadline);
   if (!reply.ok()) {
     if (name_server_) {
       // Degraded read: every peer replica is unreachable (we may be
@@ -1576,9 +1458,8 @@ Result<NsEntry> AddressSpace::NsLookup(const std::string& name,
     }
     return reply.status();
   }
-  marshal::XdrDecoder dec(*reply);
-  DS_ASSIGN_OR_RETURN(auto hdr, DecodeResponseHeader(dec));
-  if (!hdr.status.ok()) return hdr.status;
+  if (!reply->status.ok()) return reply->status;
+  marshal::XdrDecoder dec = reply->body();
   return DecodeNsEntry(dec);
 }
 
@@ -1587,23 +1468,14 @@ Result<std::vector<NsEntry>> AddressSpace::NsList(const std::string& prefix) {
   if (name_server_ && (!replog_ || replog_->LeaseFresh())) {
     return name_server_->List(prefix);
   }
-  NsLookupReq req;
-  req.name = prefix;
-  auto reply = CallNsService(
-      [&req](std::uint64_t request_id) {
-        marshal::XdrEncoder enc;
-        EncodeRequestHeader(enc, Op::kNsList, request_id);
-        req.Encode(enc);
-        return enc.Take();
-      },
-      InternalDeadline());
+  auto reply =
+      CallNsService(Op::kNsList, NsLookupReq{prefix}, InternalDeadline());
   if (!reply.ok()) {
     if (name_server_) return name_server_->List(prefix);  // degraded read
     return reply.status();
   }
-  marshal::XdrDecoder dec(*reply);
-  DS_ASSIGN_OR_RETURN(auto hdr, DecodeResponseHeader(dec));
-  if (!hdr.status.ok()) return hdr.status;
+  if (!reply->status.ok()) return reply->status;
+  marshal::XdrDecoder dec = reply->body();
   DS_ASSIGN_OR_RETURN(std::uint32_t count, dec.GetU32());
   std::vector<NsEntry> out;
   out.reserve(count);
@@ -1636,11 +1508,7 @@ void AddressSpace::OnBecameNsLeader() {
 // --- end-device session registry -----------------------------------------------
 
 Status AddressSpace::SessionPut(const SessionRecord& record) {
-  stats_.ns_ops.fetch_add(1, std::memory_order_relaxed);
-  NsMutation m;
-  m.kind = NsMutation::Kind::kPutSession;
-  m.session = record;
-  return MutateNs(m);
+  return MutateNs({.kind = NsMutation::Kind::kPutSession, .session = record});
 }
 
 Result<SessionRecord> AddressSpace::SessionGet(std::uint64_t session_id) {
@@ -1648,42 +1516,27 @@ Result<SessionRecord> AddressSpace::SessionGet(std::uint64_t session_id) {
   if (name_server_ && (!replog_ || replog_->LeaseFresh())) {
     return name_server_->GetSession(session_id);
   }
-  SessionIdReq req;
-  req.session_id = session_id;
-  auto reply = CallNsService(
-      [&req](std::uint64_t request_id) {
-        marshal::XdrEncoder enc;
-        EncodeRequestHeader(enc, Op::kSessionGet, request_id);
-        req.Encode(enc);
-        return enc.Take();
-      },
-      InternalDeadline());
+  auto reply = CallNsService(Op::kSessionGet, SessionIdReq{session_id},
+                             InternalDeadline());
   if (!reply.ok()) {
     if (name_server_) return name_server_->GetSession(session_id);  // degraded
     return reply.status();
   }
-  marshal::XdrDecoder dec(*reply);
-  DS_ASSIGN_OR_RETURN(auto hdr, DecodeResponseHeader(dec));
-  if (!hdr.status.ok()) return hdr.status;
+  if (!reply->status.ok()) return reply->status;
+  marshal::XdrDecoder dec = reply->body();
   return DecodeSessionRecord(dec);
 }
 
 Status AddressSpace::SessionDrop(std::uint64_t session_id) {
-  stats_.ns_ops.fetch_add(1, std::memory_order_relaxed);
-  NsMutation m;
-  m.kind = NsMutation::Kind::kDropSession;
-  m.session_id = session_id;
-  return MutateNs(m);
+  return MutateNs(
+      {.kind = NsMutation::Kind::kDropSession, .session_id = session_id});
 }
 
 Status AddressSpace::SessionTick(std::uint64_t session_id,
                                  std::uint64_t ticket) {
-  stats_.ns_ops.fetch_add(1, std::memory_order_relaxed);
-  NsMutation m;
-  m.kind = NsMutation::Kind::kTickSession;
-  m.session_id = session_id;
-  m.ticket = ticket;
-  return MutateNs(m);
+  return MutateNs({.kind = NsMutation::Kind::kTickSession,
+                   .session_id = session_id,
+                   .ticket = ticket});
 }
 
 // --- observability ---------------------------------------------------------------
@@ -1769,16 +1622,10 @@ std::string AddressSpace::MetricsJson() {
 
 Result<std::string> AddressSpace::MetricsSnapshot(AsId target) {
   if (target == options_.id) return MetricsJson();
-  MetricsReq req;
-  req.target_as = AsIndex(target);
-  marshal::XdrEncoder enc;
-  EncodeRequestHeader(enc, Op::kMetrics, next_request_id_.fetch_add(1));
-  req.Encode(enc);
-  DS_ASSIGN_OR_RETURN(Buffer reply,
-                      Call(target, enc.Take(), InternalDeadline()));
-  marshal::XdrDecoder dec(reply);
-  DS_ASSIGN_OR_RETURN(auto hdr, DecodeResponseHeader(dec));
-  if (!hdr.status.ok()) return hdr.status;
+  DS_ASSIGN_OR_RETURN(Reply reply,
+                      Call(target, Op::kMetrics, MetricsReq{AsIndex(target)},
+                           InternalDeadline()));
+  marshal::XdrDecoder dec = reply.body();
   return dec.GetString();
 }
 

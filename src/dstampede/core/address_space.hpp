@@ -246,6 +246,14 @@ class AddressSpace {
   }
   const AsStats& stats() const { return stats_; }
 
+  // Serves one decoded STM request synchronously through the
+  // op-handler table and returns the encoded reply. Surrogate threads
+  // use it to field client calls "on behalf of the end device"
+  // (§3.2.2); ops on containers owned elsewhere are forwarded. A kPut
+  // payload is moved out of `request`; every other field is left as
+  // it was.
+  Buffer Execute(Request& request);
+
   // Owner-side lookup, used by surrogates and tests.
   std::shared_ptr<LocalChannel> FindChannel(std::uint64_t bits);
   std::shared_ptr<LocalQueue> FindQueue(std::uint64_t bits);
@@ -269,8 +277,8 @@ class AddressSpace {
     ds::Mutex mu{"as.pending_call.mu"};
     ds::CondVar cv;
     bool done DS_GUARDED_BY(mu) = false;
-    Status status DS_GUARDED_BY(mu);    // transport-level failure
-    Buffer response DS_GUARDED_BY(mu);  // encoded reply when status.ok()
+    Status status DS_GUARDED_BY(mu);  // transport-level failure
+    Reply reply DS_GUARDED_BY(mu);    // the peer's reply when status.ok()
     AsId target = kInvalidAsId;  // immutable after Call registers it
   };
 
@@ -283,8 +291,14 @@ class AddressSpace {
     std::uint32_t slot = 0;
   };
 
-  // Sends an encoded request to a peer AS and waits for the reply.
-  Result<Buffer> Call(AsId target, Buffer request, Deadline deadline);
+  // The one encode path for requests to a peer AS: allocates the
+  // request id, encodes `op` and `body`, sends, and waits for the
+  // reply. Exchange returns any reply; Call turns a non-ok reply
+  // status into its error.
+  Result<Reply> Exchange(AsId target, Op op, const RequestBody& body,
+                         Deadline deadline);
+  Result<Reply> Call(AsId target, Op op, const RequestBody& body,
+                     Deadline deadline);
   Result<transport::SockAddr> PeerAddr(AsId peer) const;
   Deadline InternalDeadline() const {
     return Deadline::After(options_.internal_rpc_deadline);
@@ -292,29 +306,36 @@ class AddressSpace {
 
   // The CLF message handler: runs on the endpoint's receiver thread
   // (or, on the shm fast path, the sender's thread) and must not block.
-  // A reply completes its PendingCall; a request goes to
-  // DispatchRequest.
+  // It decodes the header once: a reply completes its PendingCall; a
+  // request goes to DispatchRequest.
   void OnMessage(const transport::SockAddr& from, Buffer message);
   // Hands a request to the dispatcher pool, since serving it may block.
-  // `hdr` is the header OnMessage already decoded from `message`.
+  // `hdr` is the header OnMessage decoded; the body starts at
+  // `body_offset` of `message`, and the worker decodes it.
   void DispatchRequest(const transport::SockAddr& from,
-                       const RequestHeader& hdr, Buffer message);
-  // Decodes and executes one request; returns the encoded reply.
-  // `origin` is the requesting peer AS when known (CLF dispatch);
-  // kInvalidAsId for surrogate-driven client requests.
-  Buffer ProcessRequest(std::span<const std::uint8_t> message,
-                        AsId origin = kInvalidAsId);
-  // Serves kGet/kPut against locally-owned containers through the
-  // two-phase waiter API: the try phase runs on the dispatcher worker,
-  // and when the op would block, a continuation waiter (carrying a
-  // once-only DeferredReply) is registered and the worker returns to
-  // the pool — the thread that later resolves the wait (putter,
-  // consumer, GC sweep, timer wheel, peer death, close) encodes and
-  // sends the reply. Returns false when the request is not one of
-  // those ops (or targets a container owned elsewhere): the caller
-  // falls back to the synchronous ProcessRequest path.
-  bool ServeDeferred(std::span<const std::uint8_t> message, AsId origin,
-                     const transport::SockAddr& from);
+                       const RequestHeader& hdr, Buffer message,
+                       std::size_t body_offset);
+
+  // One entry of the op-handler table (HandlerFor), which the CLF
+  // dispatcher and Execute share. `origin` is the requesting peer AS
+  // when known (CLF dispatch); kInvalidAsId for surrogate-driven
+  // client requests.
+  struct OpHandler {
+    Op op;
+    // Serves the request on the calling thread; returns the reply.
+    Buffer (*serve)(AddressSpace& as, Request& request, AsId origin);
+    // Set only for deferrable ops (kGet/kPut). On the dispatcher, for
+    // a container owned here, registers a continuation waiter instead
+    // of blocking the worker: the thread that later resolves the wait
+    // (putter, consumer, GC sweep, timer wheel, peer death, close)
+    // sends the reply. Returns false when the container is owned
+    // elsewhere; `serve` then runs instead.
+    bool (*suspend)(AddressSpace& as, Request& request, AsId origin,
+                    const transport::SockAddr& from);
+  };
+  struct Ops;  // the handlers, defined next to the table
+  // Null for an op with no handler.
+  static const OpHandler* HandlerFor(Op op);
 
   // Fired by the CLF endpoint (its receiver thread) on peer death /
   // resurrection; translates transport addresses to AS ids and runs
@@ -326,22 +347,16 @@ class AddressSpace {
   // Local-first mutation entry point behind the public Ns*/Session*
   // wrappers: leader appends to the log, everyone else routes to the
   // leader with hint-guided failover.
-  Status MutateNs(const NsMutation& m);
-  // Serving side for mutations arriving over CLF at a replica: append
-  // if leader, else answer with the "not leader; leader=<id>" redirect
-  // (the calling wrapper retries — no forwarding chains between
-  // replicas).
-  Status ServeNsMutation(const NsMutation& m);
+  Status MutateNs(NsMutation m);
   // kUnavailable carrying this replica's current leader hint, returned
   // for reads while the local lease view is stale.
   Status StaleNsError() const;
   // One bounded failover loop: tries the last known leader first, then
   // rotates through the replica set, following "leader=<id>" hints and
-  // pausing between rounds so an election can settle. Returns the raw
-  // reply frame of the first definitive answer.
-  Result<Buffer> CallNsService(
-      const std::function<Buffer(std::uint64_t request_id)>& make_request,
-      Deadline deadline);
+  // pausing between rounds so an election can settle. Returns the
+  // first definitive reply, whose status may be an application error.
+  Result<Reply> CallNsService(Op op, const RequestBody& body,
+                              Deadline deadline);
   // Replica set when replicated, else the single ns_as_ (may be empty).
   std::vector<AsId> NsTargets() const;
   void NoteNsLeader(AsId leader);
@@ -350,18 +365,6 @@ class AddressSpace {
   // before issuing) are not lost.
   void OnBecameNsLeader();
 
-  // Typed op executors (shared by the CLF dispatcher and, via public
-  // wrappers, the client surrogates).
- public:
-  // Executes an STM op encoded per wire.hpp against this AS's local
-  // containers/name server. Used by surrogate threads, which field
-  // client calls "on behalf of the end device" (§3.2.2). The request
-  // span must start at the op field.
-  Buffer ExecuteWireRequest(std::span<const std::uint8_t> message) {
-    return ProcessRequest(message);
-  }
-
- private:
   Options options_;
   AsStats stats_;
   // Observability state is declared before (so destroyed after) every

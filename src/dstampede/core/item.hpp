@@ -61,6 +61,8 @@ struct GetSpec {
   static GetSpec Oldest() { return {Kind::kOldest, 0}; }
   static GetSpec Newest() { return {Kind::kNewest, 0}; }
   static GetSpec NextAfter(Timestamp t) { return {Kind::kNextAfter, t}; }
+
+  bool operator==(const GetSpec&) const = default;
 };
 
 // User-defined filtering on an input connection — the "selective
@@ -98,6 +100,8 @@ struct ItemFilter {
            payload_bytes <= max_bytes;
   }
 
+  bool operator==(const ItemFilter&) const = default;
+
   bool IsPassAll() const {
     return stride <= 1 && ts_min == INT64_MIN && ts_max == INT64_MAX &&
            min_bytes == 0 && max_bytes == UINT64_MAX;
@@ -128,6 +132,7 @@ struct NsEntry {
   // registration when the caller leaves it invalid (clients do); the
   // failure-recovery path purges every entry owned by a dead space.
   AsId owner_as = kInvalidAsId;
+  bool operator==(const NsEntry&) const = default;
 };
 
 // Durable, replayable record of an end-device session, mirrored by the
@@ -142,11 +147,13 @@ struct SessionAttachment {
   std::uint8_t mode = 0;   // ConnMode bits as sent on the wire
   std::uint32_t slot = 0;  // surrogate-local slot the client holds
   std::string label;       // debug aid
+  bool operator==(const SessionAttachment&) const = default;
 };
 
 struct SessionGcInterest {
   std::uint64_t container_bits = 0;
   bool is_queue = false;
+  bool operator==(const SessionGcInterest&) const = default;
 };
 
 struct SessionRecord {
@@ -168,6 +175,7 @@ struct SessionRecord {
   // item. Empty payload (ticket 0) = nothing journaled.
   std::uint64_t redo_ticket = 0;
   Buffer redo_payload;
+  bool operator==(const SessionRecord&) const = default;
 };
 
 // Reclamation notice produced by the garbage collector and delivered

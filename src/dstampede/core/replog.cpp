@@ -94,16 +94,13 @@ bool RepLog::ReplicateRound() {
 
   std::size_t acks = 1;  // self
   for (auto& push : pushes) {
-    auto response = send_(
-        push.target, Op::kRepAppend,
-        [&push](marshal::XdrEncoder& enc) { push.req.Encode(enc); },
-        Deadline::After(options_.rpc_deadline));
+    const std::uint64_t term = push.req.term;
+    auto response = send_(push.target, Op::kRepAppend, std::move(push.req),
+                          Deadline::After(options_.rpc_deadline));
     if (!response.ok()) continue;
-    marshal::XdrDecoder dec(*response);
-    auto header = DecodeResponseHeader(dec);
-    if (!header.ok()) continue;
+    marshal::XdrDecoder dec = response->body();
     auto ack = RepAppendAck::Decode(dec);
-    if (ack.ok() && ack->term > push.req.term) {
+    if (ack.ok() && ack->term > term) {
       // A newer leader exists somewhere: step down immediately.
       ds::MutexLock lock(mu_);
       if (ack->term > term_) {
@@ -114,7 +111,7 @@ bool RepLog::ReplicateRound() {
       }
       return false;
     }
-    if (!header->status.ok()) continue;
+    if (!response->status.ok()) continue;
     ++acks;
     ds::MutexLock lock(mu_);
     contacted_.insert(push.target);
@@ -221,14 +218,10 @@ void RepLog::BecomeLeader() {
     for (AsId peer : peers) {
       RepFetchReq fetch;
       fetch.from_index = from_index;
-      auto response =
-          send_(peer, Op::kRepFetch,
-                [&fetch](marshal::XdrEncoder& enc) { fetch.Encode(enc); },
-                Deadline::After(options_.rpc_deadline));
-      if (!response.ok()) continue;
-      marshal::XdrDecoder dec(*response);
-      auto header = DecodeResponseHeader(dec);
-      if (!header.ok() || !header->status.ok()) continue;
+      auto response = send_(peer, Op::kRepFetch, fetch,
+                            Deadline::After(options_.rpc_deadline));
+      if (!response.ok() || !response->status.ok()) continue;
+      marshal::XdrDecoder dec = response->body();
       auto resp = RepFetchResp::Decode(dec);
       if (!resp.ok()) continue;
       ds::MutexLock lock(mu_);

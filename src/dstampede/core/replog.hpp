@@ -81,12 +81,11 @@ class RepLog {
   // local state machine. Called in strict index order, possibly from
   // the ticker thread, a dispatcher thread, or an appender.
   using ApplyFn = std::function<void(const Buffer& entry)>;
-  // Sends one framed replication request to a peer replica and returns
-  // the raw response frame. The callee owns request-id assignment and
-  // transport (AddressSpace::Call underneath).
-  using SendFn = std::function<Result<Buffer>(
-      AsId target, Op op, const std::function<void(marshal::XdrEncoder&)>& body,
-      Deadline deadline)>;
+  // Sends one replication request to a peer replica and returns its
+  // reply, whatever its status. The callee owns request-id assignment,
+  // encoding and transport (AddressSpace::Exchange underneath).
+  using SendFn = std::function<Result<Reply>(
+      AsId target, Op op, const RequestBody& body, Deadline deadline)>;
   // True when CLF has declared the replica dead (election input).
   using PeerDeadFn = std::function<bool(AsId)>;
 

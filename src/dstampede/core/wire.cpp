@@ -13,6 +13,10 @@ std::int64_t EncodeDeadline(Deadline deadline) {
 Deadline DecodeDeadline(std::int64_t wire_ms) {
   if (wire_ms == kDeadlineInfinite) return Deadline::Infinite();
   if (wire_ms <= 0) return Deadline::Poll();
+  // The value is a peer's: past ~31 years it means forever, and it must
+  // not overflow the nanosecond clock.
+  constexpr std::int64_t kMaxFiniteMs = 1'000'000'000'000;
+  if (wire_ms > kMaxFiniteMs) return Deadline::Infinite();
   return Deadline::AfterMillis(wire_ms);
 }
 
@@ -43,6 +47,14 @@ Result<RequestHeader> DecodeRequestHeader(marshal::XdrDecoder& dec) {
   return hdr;
 }
 
+namespace {
+Result<ConnMode> DecodeConnMode(marshal::XdrDecoder& dec) {
+  DS_ASSIGN_OR_RETURN(std::uint32_t mode, dec.GetU32());
+  if (mode < 1 || mode > 3) return InternalError("bad ConnMode");
+  return static_cast<ConnMode>(mode);
+}
+}  // namespace
+
 Result<CreateReq> CreateReq::Decode(marshal::XdrDecoder& dec) {
   CreateReq req;
   DS_ASSIGN_OR_RETURN(req.capacity, dec.GetU64());
@@ -54,9 +66,7 @@ Result<AttachReq> AttachReq::Decode(marshal::XdrDecoder& dec) {
   AttachReq req;
   DS_ASSIGN_OR_RETURN(req.container_bits, dec.GetU64());
   DS_ASSIGN_OR_RETURN(req.is_queue, dec.GetBool());
-  DS_ASSIGN_OR_RETURN(std::uint32_t mode, dec.GetU32());
-  if (mode < 1 || mode > 3) return InternalError("bad ConnMode");
-  req.mode = static_cast<ConnMode>(mode);
+  DS_ASSIGN_OR_RETURN(req.mode, DecodeConnMode(dec));
   DS_ASSIGN_OR_RETURN(req.label, dec.GetString());
   return req;
 }
@@ -68,14 +78,6 @@ Result<DetachReq> DetachReq::Decode(marshal::XdrDecoder& dec) {
   DS_ASSIGN_OR_RETURN(req.slot, dec.GetU32());
   return req;
 }
-
-namespace {
-Result<ConnMode> DecodeConnMode(marshal::XdrDecoder& dec) {
-  DS_ASSIGN_OR_RETURN(std::uint32_t mode, dec.GetU32());
-  if (mode < 1 || mode > 3) return InternalError("bad ConnMode");
-  return static_cast<ConnMode>(mode);
-}
-}  // namespace
 
 Result<PutReq> PutReq::Decode(marshal::XdrDecoder& dec) {
   PutReq req;
@@ -323,10 +325,73 @@ Result<ResponseHeader> DecodeResponseHeader(marshal::XdrDecoder& dec) {
   }
   ResponseHeader hdr;
   DS_ASSIGN_OR_RETURN(hdr.request_id, dec.GetU64());
+  DS_RETURN_IF_ERROR(DecodeReplyStatus(dec, hdr.status));
+  return hdr;
+}
+
+Status DecodeReplyStatus(marshal::XdrDecoder& dec, Status& status) {
   DS_ASSIGN_OR_RETURN(std::uint32_t code, dec.GetU32());
   DS_ASSIGN_OR_RETURN(std::string message, dec.GetString());
-  hdr.status = Status(static_cast<StatusCode>(code), std::move(message));
-  return hdr;
+  status = Status(static_cast<StatusCode>(code), std::move(message));
+  return OkStatus();
+}
+
+namespace {
+template <class T>
+Result<RequestBody> AsBody(Result<T> decoded) {
+  if (!decoded.ok()) return decoded.status();
+  return RequestBody(std::move(decoded).value());
+}
+}  // namespace
+
+Result<RequestBody> DecodeRequestBody(Op op, marshal::XdrDecoder& dec) {
+  switch (op) {
+    case Op::kCreateChannel:
+    case Op::kCreateQueue:
+      return AsBody(CreateReq::Decode(dec));
+    case Op::kAttach:
+      return AsBody(AttachReq::Decode(dec));
+    case Op::kDetach:
+      return AsBody(DetachReq::Decode(dec));
+    case Op::kPut:
+      return AsBody(PutReq::Decode(dec));
+    case Op::kGet:
+      return AsBody(GetReq::Decode(dec));
+    case Op::kConsume:
+      return AsBody(ConsumeReq::Decode(dec));
+    case Op::kSetFilter:
+      return AsBody(SetFilterReq::Decode(dec));
+    case Op::kNsRegister:
+      return AsBody(DecodeNsEntry(dec));
+    case Op::kNsLookup:
+    case Op::kNsUnregister:
+    case Op::kNsList:
+      return AsBody(NsLookupReq::Decode(dec));
+    case Op::kSessionPut:
+      return AsBody(DecodeSessionRecord(dec));
+    case Op::kSessionGet:
+    case Op::kSessionDrop:
+      return AsBody(SessionIdReq::Decode(dec));
+    case Op::kSessionTick:
+      return AsBody(SessionTickReq::Decode(dec));
+    case Op::kMetrics:
+      return AsBody(MetricsReq::Decode(dec));
+    case Op::kRepAppend:
+      return AsBody(RepAppendReq::Decode(dec));
+    case Op::kRepFetch:
+      return AsBody(RepFetchReq::Decode(dec));
+    case Op::kReply:
+      break;
+  }
+  return InternalError("unknown op");
+}
+
+Result<Request> DecodeRequest(std::span<const std::uint8_t> frame) {
+  marshal::XdrDecoder dec(frame);
+  Request request;
+  DS_ASSIGN_OR_RETURN(request.header, DecodeRequestHeader(dec));
+  DS_ASSIGN_OR_RETURN(request.body, DecodeRequestBody(request.header.op, dec));
+  return request;
 }
 
 Result<GcNotice> DecodeGcNotice(marshal::XdrDecoder& dec) {

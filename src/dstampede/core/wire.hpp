@@ -23,7 +23,10 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "dstampede/common/clock.hpp"
@@ -111,6 +114,7 @@ struct CreateReq {  // kCreateChannel / kCreateQueue
     enc.PutString(debug_name);
   }
   static Result<CreateReq> Decode(marshal::XdrDecoder& dec);
+  bool operator==(const CreateReq&) const = default;
 };
 
 struct AttachReq {  // kAttach
@@ -127,6 +131,7 @@ struct AttachReq {  // kAttach
     enc.PutString(label);
   }
   static Result<AttachReq> Decode(marshal::XdrDecoder& dec);
+  bool operator==(const AttachReq&) const = default;
 };
 
 struct DetachReq {  // kDetach
@@ -141,6 +146,7 @@ struct DetachReq {  // kDetach
     enc.PutU32(slot);
   }
   static Result<DetachReq> Decode(marshal::XdrDecoder& dec);
+  bool operator==(const DetachReq&) const = default;
 };
 
 struct PutReq {  // kPut
@@ -163,6 +169,7 @@ struct PutReq {  // kPut
     enc.PutOpaque(payload);
   }
   static Result<PutReq> Decode(marshal::XdrDecoder& dec);
+  bool operator==(const PutReq&) const = default;
 };
 
 struct GetReq {  // kGet
@@ -184,6 +191,7 @@ struct GetReq {  // kGet
     enc.PutI64(deadline_ms);
   }
   static Result<GetReq> Decode(marshal::XdrDecoder& dec);
+  bool operator==(const GetReq&) const = default;
 };
 
 struct ConsumeReq {  // kConsume
@@ -204,6 +212,7 @@ struct ConsumeReq {  // kConsume
     enc.PutBool(until);
   }
   static Result<ConsumeReq> Decode(marshal::XdrDecoder& dec);
+  bool operator==(const ConsumeReq&) const = default;
 };
 
 struct SetFilterReq {  // kSetFilter (channels only)
@@ -223,6 +232,7 @@ struct SetFilterReq {  // kSetFilter (channels only)
     enc.PutU64(filter.max_bytes);
   }
   static Result<SetFilterReq> Decode(marshal::XdrDecoder& dec);
+  bool operator==(const SetFilterReq&) const = default;
 };
 
 template <class Enc>
@@ -272,6 +282,7 @@ struct SessionIdReq {  // kSessionGet / kSessionDrop
     enc.PutU64(session_id);
   }
   static Result<SessionIdReq> Decode(marshal::XdrDecoder& dec);
+  bool operator==(const SessionIdReq&) const = default;
 };
 
 struct SessionTickReq {  // kSessionTick
@@ -284,6 +295,7 @@ struct SessionTickReq {  // kSessionTick
     enc.PutU64(ticket);
   }
   static Result<SessionTickReq> Decode(marshal::XdrDecoder& dec);
+  bool operator==(const SessionTickReq&) const = default;
 };
 
 struct MetricsReq {  // kMetrics
@@ -297,6 +309,7 @@ struct MetricsReq {  // kMetrics
     enc.PutU32(target_as);
   }
   static Result<MetricsReq> Decode(marshal::XdrDecoder& dec);
+  bool operator==(const MetricsReq&) const = default;
 };
 
 struct NsLookupReq {  // kNsLookup (also kNsUnregister: name only)
@@ -309,6 +322,7 @@ struct NsLookupReq {  // kNsLookup (also kNsUnregister: name only)
     enc.PutI64(deadline_ms);
   }
   static Result<NsLookupReq> Decode(marshal::XdrDecoder& dec);
+  bool operator==(const NsLookupReq&) const = default;
 };
 
 // ---- control-plane replication (core/replog.hpp) ----------------------
@@ -327,10 +341,10 @@ struct NsMutation {
     kTickSession = 6,
   };
   Kind kind = Kind::kRegister;
-  NsEntry entry;                   // kRegister
-  std::string name;                // kUnregister
+  NsEntry entry{};                 // kRegister
+  std::string name{};              // kUnregister
   AsId owner = kInvalidAsId;       // kPurgeOwner
-  SessionRecord session;           // kPutSession
+  SessionRecord session{};         // kPutSession
   std::uint64_t session_id = 0;    // kDropSession / kTickSession
   std::uint64_t ticket = 0;        // kTickSession
 };
@@ -357,6 +371,7 @@ struct RepAppendReq {  // kRepAppend (no entries = leader heartbeat)
     for (const auto& e : entries) enc.PutOpaque(e);
   }
   static Result<RepAppendReq> Decode(marshal::XdrDecoder& dec);
+  bool operator==(const RepAppendReq&) const = default;
 };
 
 // kRepAppend ack body (after the status header): the follower's term
@@ -382,6 +397,7 @@ struct RepFetchReq {  // kRepFetch: send me your log from this index on
     enc.PutU64(from_index);
   }
   static Result<RepFetchReq> Decode(marshal::XdrDecoder& dec);
+  bool operator==(const RepFetchReq&) const = default;
 };
 
 // kRepFetch reply body: the replica's term/applied index and every log
@@ -402,6 +418,46 @@ struct RepFetchResp {
   }
   static Result<RepFetchResp> Decode(marshal::XdrDecoder& dec);
 };
+
+// ---- the decoded request ---------------------------------------------
+
+// Every op's body. Ops with one layout share a struct: kCreateChannel/
+// kCreateQueue carry CreateReq; kNsLookup/kNsUnregister/kNsList carry
+// NsLookupReq; kSessionGet/kSessionDrop carry SessionIdReq.
+using RequestBody =
+    std::variant<std::monostate, CreateReq, AttachReq, DetachReq, PutReq,
+                 GetReq, ConsumeReq, SetFilterReq, NsEntry, NsLookupReq,
+                 SessionRecord, SessionIdReq, SessionTickReq, MetricsReq,
+                 RepAppendReq, RepFetchReq>;
+
+// One STM request, decoded once. The owner's dispatcher and the
+// surrogate serve this struct, never the bytes it came from.
+struct Request {
+  RequestHeader header;
+  RequestBody body;
+};
+
+// Decodes the body `op` carries, starting where its header ended: the
+// one place that picks a decoder per op. An unknown op is an error.
+Result<RequestBody> DecodeRequestBody(Op op, marshal::XdrDecoder& dec);
+// Header and body of a whole frame.
+Result<Request> DecodeRequest(std::span<const std::uint8_t> frame);
+
+template <class Enc>
+void EncodeRequestBody(Enc& enc, const RequestBody& body) {
+  std::visit(
+      [&enc](const auto& b) {
+        using T = std::decay_t<decltype(b)>;
+        if constexpr (std::is_same_v<T, NsEntry>) {
+          EncodeNsEntry(enc, b);
+        } else if constexpr (std::is_same_v<T, SessionRecord>) {
+          EncodeSessionRecord(enc, b);
+        } else if constexpr (!std::is_same_v<T, std::monostate>) {
+          b.Encode(enc);
+        }
+      },
+      body);
+}
 
 // ---- responses --------------------------------------------------------
 
@@ -424,6 +480,22 @@ struct ResponseHeader {
 };
 // Expects the decoder positioned at the op field.
 Result<ResponseHeader> DecodeResponseHeader(marshal::XdrDecoder& dec);
+// Reads the status fields that follow a reply's [kReply][request_id]
+// words into `status`; returns the decode error, if any.
+Status DecodeReplyStatus(marshal::XdrDecoder& dec, Status& status);
+
+// A reply as its caller receives it: the decoded status, and the op's
+// result fields after it.
+struct Reply {
+  Status status;
+  Buffer frame;
+  std::size_t body_offset = 0;  // first byte after the status fields
+
+  marshal::XdrDecoder body() const {
+    return marshal::XdrDecoder(
+        std::span<const std::uint8_t>(frame).subspan(body_offset));
+  }
+};
 
 // Fully-encoded replies, shared by the synchronous dispatch path and
 // the deferred-completion path (which encodes on whatever thread

@@ -56,16 +56,21 @@ Status UdpSocket::SendTo(const SockAddr& to,
 
 Status UdpSocket::RecvFrom(Buffer& out, SockAddr& from, Deadline deadline) {
   DS_RETURN_IF_ERROR(WaitReadable(fd_.get(), deadline));
-  out.resize(kMaxUdpDatagram);
+  // Sizing `out` to the UDP limit would zero-fill it on every call;
+  // receive into the reused, uninitialised scratch and copy the bytes.
+  if (!recv_scratch_) {
+    recv_scratch_ =
+        std::make_unique_for_overwrite<std::uint8_t[]>(kMaxUdpDatagram);
+  }
   sockaddr_in sin{};
   socklen_t len = sizeof sin;
-  ssize_t n = ::recvfrom(fd_.get(), out.data(), out.size(), 0,
+  ssize_t n = ::recvfrom(fd_.get(), recv_scratch_.get(), kMaxUdpDatagram, 0,
                          reinterpret_cast<sockaddr*>(&sin), &len);
   if (n < 0) {
     if (errno == EINTR) return TimeoutError("interrupted");
     return ErrnoStatus("recvfrom");
   }
-  out.resize(static_cast<std::size_t>(n));
+  out.assign(recv_scratch_.get(), recv_scratch_.get() + n);
   from = SockAddr{ntohl(sin.sin_addr.s_addr), ntohs(sin.sin_port)};
   return OkStatus();
 }

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 
 #include "dstampede/common/bytes.hpp"
@@ -32,7 +33,8 @@ class UdpSocket {
   Status SendTo(const SockAddr& to, std::span<const std::uint8_t> data);
 
   // Receives one datagram into out (resized to the datagram length).
-  // Fills from with the sender address.
+  // Fills from with the sender address. One reader at a time: the
+  // socket's receive scratch is reused across calls.
   Status RecvFrom(Buffer& out, SockAddr& from,
                   Deadline deadline = Deadline::Infinite());
 
@@ -41,6 +43,7 @@ class UdpSocket {
  private:
   FdHandle fd_;
   SockAddr bound_;
+  std::unique_ptr<std::uint8_t[]> recv_scratch_;  // kMaxUdpDatagram bytes
 };
 
 }  // namespace dstampede::transport

@@ -490,6 +490,73 @@ TEST_F(ResilienceTest, FailoverToLiveAddressSpaceOnHostDeath) {
             StatusCode::kTimeout);
 }
 
+// After a failover the device's handles still carry the slots its
+// first surrogate got; the migrated surrogate must remap every op that
+// addresses one, not only Put/Get on a queue. The old slots are
+// detached by the owner's recovery, so an op that missed the remap
+// would fail, and a Detach that missed it would leave the new
+// attachment pinning items against GC.
+TEST_F(ResilienceTest, ChannelOpsLandOnRemappedSlotsAfterFailover) {
+  Start();
+  auto ch = rt_->as(0).CreateChannel();
+  ASSERT_TRUE(ch.ok()) << ch.status();
+  // An owner-side reader that consumes everything, so whether an item
+  // is reclaimed rests on the device's input connection alone.
+  auto keeper = rt_->as(0).Connect(*ch, ConnMode::kInput);
+  ASSERT_TRUE(keeper.ok()) << keeper.status();
+
+  auto client = JoinC(/*preferred_as=*/1);
+  ASSERT_EQ(AsIndex(client->host_as()), 1u);
+  auto out = client->Connect(*ch, ConnMode::kOutput);
+  auto in = client->Connect(*ch, ConnMode::kInput);
+  ASSERT_TRUE(out.ok()) << out.status();
+  ASSERT_TRUE(in.ok()) << in.status();
+  ASSERT_TRUE(client->Put(*out, 0, Bytes("t0")).ok());
+
+  rt_->as(1).Shutdown();
+  for (Timestamp ts = 1; ts < 8; ++ts) {
+    Status s = client->Put(*out, ts, Bytes("t" + std::to_string(ts)));
+    ASSERT_TRUE(s.ok()) << "put " << ts << ": " << s;
+  }
+  ASSERT_EQ(AsIndex(client->host_as()), 0u) << "session must have migrated";
+  ASSERT_EQ(listener_->sessions_migrated(), 1u);
+  // The owner's recovery detaches the dead host's connections: the
+  // slots the device's handles carry.
+  const auto dead_host = static_cast<AsId>(1);
+  for (int i = 0; i < 300 && !rt_->as(0).IsPeerDown(dead_host); ++i) {
+    std::this_thread::sleep_for(Millis(10));
+  }
+  ASSERT_TRUE(rt_->as(0).IsPeerDown(dead_host));
+
+  // SetFilter and Get: the connection now sees even timestamps only.
+  core::ItemFilter evens;
+  evens.stride = 2;
+  ASSERT_TRUE(client->SetFilter(*in, evens).ok());
+  auto first = client->Get(*in, GetSpec::Oldest(), Deadline::AfterMillis(2000));
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(first->timestamp, 0);
+  auto next =
+      client->Get(*in, GetSpec::NextAfter(0), Deadline::AfterMillis(2000));
+  ASSERT_TRUE(next.ok()) << next.status();
+  EXPECT_EQ(next->timestamp, 2) << "filter missed the slot Get reads";
+
+  // Consume: once the keeper has consumed everything, only the device's
+  // unconsumed even items (4, 6) remain.
+  ASSERT_TRUE(client->Consume(*in, 0).ok());
+  ASSERT_TRUE(client->Consume(*in, 2).ok());
+  ASSERT_TRUE(rt_->as(0).ConsumeUntil(*keeper, 7).ok());
+  auto channel = rt_->as(0).FindChannel(ch->bits());
+  ASSERT_NE(channel, nullptr);
+  EXPECT_EQ(channel->live_items(), 2u);
+
+  // Detach: the device's claim on 4 and 6 goes with it and GC reclaims.
+  ASSERT_TRUE(client->Disconnect(*in).ok());
+  for (int i = 0; i < 200 && channel->live_items() != 0; ++i) {
+    std::this_thread::sleep_for(Millis(10));
+  }
+  EXPECT_EQ(channel->live_items(), 0u);
+}
+
 TEST_F(ResilienceTest, ResumeAfterMigrationAdoptsTheLiveSurrogate) {
   Start();
   auto q = rt_->as(0).CreateQueue();

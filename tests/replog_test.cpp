@@ -39,9 +39,9 @@ class TestCluster {
             ds::MutexLock lock(mu_);
             applied_[i].push_back(entry);
           },
-          [this, i](AsId target, Op op,
-                    const std::function<void(marshal::XdrEncoder&)>& body,
-                    Deadline) { return Dispatch(i, target, op, body); },
+          [this, i](AsId target, Op op, const RequestBody& body, Deadline) {
+            return Dispatch(i, target, op, body);
+          },
           [this](AsId peer) {
             ds::MutexLock lock(mu_);
             return dead_.count(peer) != 0;
@@ -80,9 +80,8 @@ class TestCluster {
   }
 
  private:
-  Result<Buffer> Dispatch(
-      std::size_t from, AsId target, Op op,
-      const std::function<void(marshal::XdrEncoder&)>& body) {
+  Result<Reply> Dispatch(std::size_t from, AsId target, Op op,
+                         const RequestBody& body) {
     {
       ds::MutexLock lock(mu_);
       if (dead_.count(target) != 0 ||
@@ -92,7 +91,7 @@ class TestCluster {
       }
     }
     marshal::XdrEncoder req_enc;
-    body(req_enc);
+    EncodeRequestBody(req_enc, body);
     const Buffer req_bytes = req_enc.Take();
     marshal::XdrDecoder dec(req_bytes);
     RepLog& callee = *nodes_[AsIndex(target)];
@@ -113,7 +112,14 @@ class TestCluster {
     } else {
       return InvalidArgumentError("unexpected op");
     }
-    return resp.Take();
+    Reply reply;
+    reply.frame = resp.Take();
+    marshal::XdrDecoder reply_dec(reply.frame);
+    auto header = DecodeResponseHeader(reply_dec);
+    if (!header.ok()) return header.status();
+    reply.status = header->status;
+    reply.body_offset = reply.frame.size() - reply_dec.remaining();
+    return reply;
   }
 
   std::vector<std::unique_ptr<RepLog>> nodes_;

@@ -355,7 +355,9 @@ TEST_F(TelemetryClusterTest, OldWireFramesInteroperate) {
   core::CreateReq req;
   req.debug_name = "legacy";
   req.Encode(plain);
-  Buffer reply = rt_->as(0).ExecuteWireRequest(plain.Take());
+  auto request = core::DecodeRequest(plain.Take());
+  ASSERT_TRUE(request.ok()) << request.status();
+  Buffer reply = rt_->as(0).Execute(*request);
   marshal::XdrDecoder dec(reply);
   auto hdr = core::DecodeResponseHeader(dec);
   ASSERT_TRUE(hdr.ok()) << hdr.status();
@@ -376,7 +378,9 @@ TEST_F(TelemetryClusterTest, OldWireFramesInteroperate) {
   core::CreateReq req2;
   req2.debug_name = "traced";
   req2.Encode(traced);
-  Buffer reply2 = rt_->as(0).ExecuteWireRequest(traced.Take());
+  auto request2 = core::DecodeRequest(traced.Take());
+  ASSERT_TRUE(request2.ok()) << request2.status();
+  Buffer reply2 = rt_->as(0).Execute(*request2);
   marshal::XdrDecoder dec2(reply2);
   auto hdr2 = core::DecodeResponseHeader(dec2);
   ASSERT_TRUE(hdr2.ok()) << hdr2.status();

@@ -5,10 +5,17 @@
 // address space).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <utility>
+#include <vector>
 
+#include "clf_inbox.hpp"
+#include "dstampede/client/listener.hpp"
+#include "dstampede/client/protocol.hpp"
 #include "dstampede/core/runtime.hpp"
 #include "dstampede/core/wire.hpp"
+#include "dstampede/transport/tcp.hpp"
 
 namespace dstampede::core {
 namespace {
@@ -119,6 +126,7 @@ TEST(WireTest, DeadlineMapping) {
   EXPECT_GT(ms, 4000);
   EXPECT_LE(ms, 5000);
   EXPECT_TRUE(DecodeDeadline(kDeadlineInfinite).infinite());
+  EXPECT_TRUE(DecodeDeadline(INT64_MAX).infinite());
   EXPECT_TRUE(DecodeDeadline(0).expired());
   EXPECT_FALSE(DecodeDeadline(10000).expired());
 }
@@ -136,11 +144,168 @@ TEST(WireTest, GcNoticeRoundTrip) {
   EXPECT_EQ(decoded->payload_size, notice.payload_size);
 }
 
-// --- fuzzing the request executor ------------------------------------------
+// --- the decoded request ----------------------------------------------------
+
+// One sample body per op. Every Op must appear: the round trip below
+// is the codec's coverage of the whole op set.
+std::vector<std::pair<Op, RequestBody>> SampleRequests() {
+  SessionRecord session;
+  session.session_id = 21;
+  session.client_kind = 1;
+  session.client_name = "camera";
+  session.host_as = static_cast<AsId>(2);
+  session.last_executed_ticket = 40;
+  session.attachments = {{0xC0FFEE, true, 3, 7, "in"}};
+  session.gc_interests = {{0xC0FFEE, true}};
+  session.registered_names = {"cam/0", "cam/1"};
+  session.redo_ticket = 39;
+  session.redo_payload = {4, 5, 6};
+  ItemFilter filter;
+  filter.stride = 3;
+  filter.phase = 1;
+  filter.ts_min = -8;
+  filter.max_bytes = 4096;
+  return {
+      {Op::kCreateChannel, CreateReq{7, "frames"}},
+      {Op::kCreateQueue, CreateReq{0, "jobs"}},
+      {Op::kAttach, AttachReq{0x1234, true, ConnMode::kInputOutput, "lbl"}},
+      {Op::kDetach, DetachReq{0x55, false, 9}},
+      {Op::kPut, PutReq{0x66, true, ConnMode::kOutput, 3, -4, 250, {1, 2, 3}}},
+      {Op::kGet, GetReq{0x77, false, ConnMode::kInput, 4,
+                        GetSpec::NextAfter(17), kDeadlineInfinite}},
+      {Op::kConsume, ConsumeReq{0x88, false, ConnMode::kInput, 5, 99, true}},
+      {Op::kNsRegister, NsEntry{.name = "cam/0",
+                                .kind = NsEntry::Kind::kQueue,
+                                .id_bits = 0x99,
+                                .meta = "frames",
+                                .owner_as = static_cast<AsId>(2)}},
+      {Op::kNsLookup, NsLookupReq{"cam/0", 1500}},
+      {Op::kNsUnregister, NsLookupReq{"cam/1", 0}},
+      {Op::kNsList, NsLookupReq{"cam/", 0}},
+      {Op::kSetFilter, SetFilterReq{0xAA, 6, filter}},
+      {Op::kSessionPut, session},
+      {Op::kSessionGet, SessionIdReq{11}},
+      {Op::kSessionDrop, SessionIdReq{12}},
+      {Op::kSessionTick, SessionTickReq{13, 14}},
+      {Op::kMetrics, MetricsReq{3}},
+      {Op::kRepAppend, RepAppendReq{5, 1, 10, 9, {{1}, {2, 3}}}},
+      {Op::kRepFetch, RepFetchReq{4}},
+  };
+}
+
+TEST(WireTest, EveryOpRoundTripsThroughRequest) {
+  const auto samples = SampleRequests();
+  for (std::uint32_t op = 1; op <= static_cast<std::uint32_t>(Op::kRepFetch);
+       ++op) {
+    const bool covered =
+        std::any_of(samples.begin(), samples.end(),
+                    [op](const auto& s) { return s.first == Op(op); });
+    EXPECT_TRUE(covered) << "no sample for op " << op;
+  }
+  std::uint64_t id = 100;
+  for (const auto& [op, body] : samples) {
+    marshal::XdrEncoder enc;
+    EncodeRequestHeader(enc, op, ++id);
+    EncodeRequestBody(enc, body);
+    auto decoded = DecodeRequest(enc.buffer());
+    ASSERT_TRUE(decoded.ok()) << "op " << static_cast<int>(op) << ": "
+                              << decoded.status();
+    EXPECT_EQ(decoded->header.op, op);
+    EXPECT_EQ(decoded->header.request_id, id);
+    EXPECT_TRUE(decoded->body == body) << "op " << static_cast<int>(op);
+  }
+}
+
+TEST(WireTest, UnknownOpIsRejectedByTheDecoder) {
+  for (std::uint32_t op : {0u, 20u, static_cast<std::uint32_t>(Op::kReply)}) {
+    marshal::XdrEncoder enc;
+    EncodeRequestHeader(enc, static_cast<Op>(op), 1);
+    enc.PutU64(0);
+    EXPECT_FALSE(DecodeRequest(enc.buffer()).ok()) << "op " << op;
+  }
+}
+
+// A kPut frame whose header decodes but whose body stops after the
+// container bits, and the status decoding that body yields.
+std::pair<Buffer, Status> TruncatedPut(std::uint64_t request_id) {
+  marshal::XdrEncoder enc;
+  EncodeRequestHeader(enc, Op::kPut, request_id);
+  enc.PutU64(0x1234);
+  Buffer frame = enc.Take();
+  marshal::XdrDecoder body(std::span<const std::uint8_t>(frame).subspan(12));
+  Status error = DecodeRequestBody(Op::kPut, body).status();
+  return {std::move(frame), std::move(error)};
+}
+
+TEST(WireTest, UndecodableBodyIsAnsweredOverClf) {
+  Runtime::Options opts;
+  opts.num_address_spaces = 1;
+  auto rt = Runtime::Create(opts);
+  ASSERT_TRUE(rt.ok()) << rt.status();
+  auto peer = clf::MakeInboxEndpoint();
+  ASSERT_TRUE(peer.ok()) << peer.status();
+
+  auto [frame, error] = TruncatedPut(42);
+  ASSERT_FALSE(error.ok());
+  ASSERT_TRUE((*peer)->Send((*rt)->as(0).clf_addr(), frame).ok());
+  Buffer reply;
+  transport::SockAddr from;
+  ASSERT_TRUE(peer->Recv(reply, from, Deadline::AfterMillis(5000)).ok());
+  EXPECT_EQ(reply, EncodeStatusReply(42, error));
+  (*peer)->Shutdown();
+}
+
+TEST(WireTest, UndecodableBodyIsAnsweredBySurrogateWithoutParking) {
+  Runtime::Options opts;
+  opts.num_address_spaces = 1;
+  auto rt = Runtime::Create(opts);
+  ASSERT_TRUE(rt.ok()) << rt.status();
+  auto listener = client::Listener::Start(**rt);
+  ASSERT_TRUE(listener.ok()) << listener.status();
+  auto conn = transport::TcpConnection::Connect((*listener)->addr());
+  ASSERT_TRUE(conn.ok()) << conn.status();
+
+  // Round trip: the reply header of whatever the surrogate answers.
+  auto call = [&](const Buffer& frame) -> Result<ResponseHeader> {
+    DS_RETURN_IF_ERROR(conn->SendFrame(frame));
+    Buffer reply;
+    DS_RETURN_IF_ERROR(conn->RecvFrame(reply, Deadline::AfterMillis(5000)));
+    marshal::XdrDecoder dec(reply);
+    return DecodeResponseHeader(dec);
+  };
+  marshal::XdrEncoder hello;
+  EncodeRequestHeader(hello, static_cast<Op>(client::ClientOp::kHello), 1);
+  client::HelloReq{}.Encode(hello);
+  auto joined = call(hello.Take());
+  ASSERT_TRUE(joined.ok()) << joined.status();
+  ASSERT_TRUE(joined->status.ok()) << joined->status;
+
+  auto [frame, error] = TruncatedPut(2);
+  auto bad = call(frame);
+  ASSERT_TRUE(bad.ok()) << bad.status();
+  EXPECT_EQ(bad->request_id, 2u);
+  EXPECT_EQ(bad->status.code(), error.code());
+  EXPECT_EQ(bad->status.message(), error.message());
+
+  // The session carries on over the same connection.
+  marshal::XdrEncoder list;
+  EncodeRequestHeader(list, Op::kNsList, 3);
+  NsLookupReq{"sys/"}.Encode(list);
+  auto next = call(list.Take());
+  ASSERT_TRUE(next.ok()) << next.status();
+  EXPECT_EQ(next->request_id, 3u);
+  EXPECT_TRUE(next->status.ok()) << next->status;
+  EXPECT_EQ((*listener)->surrogates_in(client::Surrogate::State::kParked), 0u);
+  EXPECT_EQ((*listener)->surrogates_in(client::Surrogate::State::kActive), 1u);
+  (*listener)->Shutdown();
+}
+
+// --- fuzzing the request decoder and executor ------------------------------
 //
-// ExecuteWireRequest is the surface a surrogate exposes to whatever an
-// end device sends. Feed it truncations, bit flips and random bytes:
-// the contract is "status reply or empty buffer", never a crash.
+// Decode-then-Execute is the path every request an end device sends
+// takes through its surrogate. Feed it truncations, bit flips and
+// random bytes: the contract is "status reply or rejected decode",
+// never a crash.
 
 class WireFuzzTest : public ::testing::TestWithParam<std::uint32_t> {};
 
@@ -166,22 +331,22 @@ TEST_P(WireFuzzTest, TruncatedAndCorruptedRequestsAreHandled) {
   req.Encode(enc);
   const Buffer valid = enc.Take();
 
-  // A mutated frame can legitimately decode into a *blocking* op (a
-  // get or a blocking name lookup) with an arbitrary deadline; those
-  // semantics are tested elsewhere, so the fuzz skips executing them —
-  // it targets decode robustness, which must never crash or mis-frame.
+  // Every frame is decoded. A mutated frame can legitimately decode
+  // into a *blocking* op (a get or a blocking name lookup) with an
+  // arbitrary deadline; those semantics are tested elsewhere, so the
+  // fuzz executes everything else — it targets decode robustness,
+  // which must never crash or mis-frame.
   auto execute_checked = [&](const Buffer& frame) {
-    marshal::XdrDecoder peek(frame);
-    auto hdr = DecodeRequestHeader(peek);
-    if (hdr.ok() &&
-        (hdr->op == Op::kGet || hdr->op == Op::kNsLookup)) {
+    auto request = DecodeRequest(frame);
+    if (!request.ok()) return;  // rejected decode
+    if (request->header.op == Op::kGet || request->header.op == Op::kNsLookup) {
       return;
     }
-    Buffer reply = as.ExecuteWireRequest(frame);
-    if (!reply.empty()) {
-      marshal::XdrDecoder dec(reply);
-      EXPECT_TRUE(DecodeResponseHeader(dec).ok());
-    }
+    Buffer reply = as.Execute(*request);
+    marshal::XdrDecoder dec(reply);
+    auto hdr = DecodeResponseHeader(dec);
+    ASSERT_TRUE(hdr.ok()) << hdr.status();
+    EXPECT_EQ(hdr->request_id, request->header.request_id);
   };
 
   // Every truncation length.

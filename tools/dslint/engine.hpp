@@ -35,9 +35,8 @@
 //
 // This engine is the toolchain-independent implementation: a C++
 // tokenizer plus lexical scope tracking, no libclang required, so the
-// gate runs wherever the tree builds. tools/dslint/plugin/ holds the
-// clang-tidy plugin flavor of the same checks for editor integration
-// when clang-tidy dev headers are available.
+// gate runs wherever the tree builds. It is the only implementation
+// of these checks.
 #pragma once
 
 #include <map>
