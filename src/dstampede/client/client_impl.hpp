@@ -259,7 +259,7 @@ Status BasicClient<Codec>::RefreshListenerCacheLocked(
   typename Codec::Encoder enc;
   // Request id 0 = untracked read: this refresh may run between a
   // resume and the replay of the in-flight call, and a real ticket
-  // would evict the surrogate's cached reply that the replay needs.
+  // would evict the surrogate's reply slot that the replay needs.
   core::EncodeRequestHeader(enc, core::Op::kNsList, 0);
   core::NsLookupReq req;
   req.name = "sys/listener/";

@@ -157,7 +157,7 @@ void Listener::Handshake(transport::TcpConnection conn) {
     }
     surrogate = std::make_unique<Surrogate>(
         next_session_++, runtime_.as(as_index), std::move(conn),
-        options_.edge_faults, options_.durable_sessions);
+        options_.edge_faults);
     raw = surrogate.get();
     surrogates_.push_back(std::move(surrogate));
   }
@@ -181,7 +181,7 @@ void Listener::HandleResume(transport::TcpConnection conn,
   // surrogates_ for the stats; matching one of them instead of the live
   // incarnation would re-migrate the session and supersede (then reap)
   // its actually-live surrogate, losing the registry record and the
-  // cached-reply dedup.
+  // reply slot.
   Surrogate* existing = nullptr;
   {
     ds::MutexLock lock(mu_);
@@ -257,8 +257,7 @@ void Listener::HandleResume(transport::TcpConnection conn,
   if (existing) existing->MarkSuperseded();
 
   surrogate = std::make_unique<Surrogate>(session_id, live_as, std::move(conn),
-                                          options_.edge_faults,
-                                          options_.durable_sessions);
+                                          options_.edge_faults);
   raw = surrogate.get();
   if (!raw->Rehydrate(*record).ok() || !raw->ServiceResume(frame).ok()) {
     raw->Stop();

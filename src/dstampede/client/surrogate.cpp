@@ -10,22 +10,6 @@ namespace dstampede::client {
 
 namespace {
 
-// Ops whose effects must not run twice. Their replies carry no payload,
-// so an already-executed replay can be answered with a synthesized OK.
-bool IsIdempotentSynthOp(core::Op op) {
-  switch (op) {
-    case core::Op::kPut:
-    case core::Op::kConsume:
-    case core::Op::kDetach:
-    case core::Op::kSetFilter:
-    case core::Op::kNsRegister:
-    case core::Op::kNsUnregister:
-      return true;
-    default:
-      return false;
-  }
-}
-
 // Rewrites the slot a device request addresses through the
 // post-migration remap table. The device's handles keep the slots its
 // original surrogate issued; only ops that carry a slot are affected.
@@ -48,16 +32,19 @@ void RemapSlot(const std::vector<SlotRemap>& remaps, core::RequestBody& body) {
       body);
 }
 
+std::shared_ptr<const Buffer> Share(Buffer reply) {
+  return std::make_shared<const Buffer>(std::move(reply));
+}
+
 }  // namespace
 
 Surrogate::Surrogate(std::uint64_t session_id, core::AddressSpace& host,
                      transport::TcpConnection conn,
-                     clf::FaultInjector* edge_faults, bool durable)
+                     clf::FaultInjector* edge_faults)
     : session_id_(session_id),
       host_(host),
       conn_(std::move(conn)),
-      edge_faults_(edge_faults),
-      durable_(durable) {
+      edge_faults_(edge_faults) {
   m_replay_hits_ = &host_.metrics_registry().GetCounter(
       "surrogate.replay_cache_hits");
   m_calls_ = &host_.metrics_registry().GetCounter("surrogate.calls");
@@ -78,7 +65,7 @@ Surrogate::Surrogate(std::uint64_t session_id, core::AddressSpace& host,
 
 Surrogate::~Surrogate() { host_.gc().RemoveSink(gc_sink_token_); }
 
-void Surrogate::AppendNoticeTrailer(Buffer& reply) {
+Buffer Surrogate::TakeNoticeTrailer() {
   std::vector<core::GcNotice> drained;
   {
     ds::MutexLock lock(gc_mu_);
@@ -87,9 +74,8 @@ void Surrogate::AppendNoticeTrailer(Buffer& reply) {
   }
   marshal::XdrEncoder enc;
   EncodeNoticeTrailer(enc, drained);
-  const Buffer trailer = enc.Take();
-  reply.insert(reply.end(), trailer.begin(), trailer.end());
   notices_forwarded_.fetch_add(drained.size(), std::memory_order_relaxed);
+  return enc.Take();
 }
 
 Buffer Surrogate::HandleHello(std::uint64_t request_id,
@@ -113,29 +99,53 @@ Buffer Surrogate::ResumeReply(std::uint64_t request_id) {
   resp.session_id = session_id_;
   {
     ds::MutexLock lock(session_mu_);
-    resp.last_executed_ticket = last_executed_ticket_;
+    resp.last_executed_ticket = slot_ticket_;
     resp.remaps = slot_remaps_;
   }
   EncodeResumeResp(enc, resp);
   return enc.Take();
 }
 
-Buffer Surrogate::HandleFrame(std::span<const std::uint8_t> frame, bool& bye,
-                              bool& kill_conn) {
+Surrogate::SharedReply Surrogate::ReplayLocked(std::uint64_t ticket,
+                                              core::Op op) {
+  if (ticket == 0 || ticket != slot_ticket_) return nullptr;
+  m_replay_hits_->Add();
+  // A destructive read answered from its journaled reply instead of
+  // dequeuing a second item.
+  if (slot_journaled_ && op == core::Op::kGet) m_redo_replayed_->Add();
+  return slot_reply_;  // resend the very reply that was lost
+}
+
+void Surrogate::SetSlotLocked(std::uint64_t ticket, SharedReply reply,
+                              bool journaled) {
+  // Ticket 0 marks an untracked call (the client's post-resume
+  // listener-cache refresh): it must not evict the reply the
+  // still-unreplayed in-flight call is about to be answered from.
+  if (ticket == 0) return;
+  slot_ticket_ = ticket;
+  slot_reply_ = std::move(reply);
+  slot_journaled_ = journaled;
+}
+
+Surrogate::SharedReply Surrogate::HandleFrame(
+    std::span<const std::uint8_t> frame, bool& bye, bool& kill_conn) {
   marshal::XdrDecoder dec(frame);
   auto hdr = core::DecodeRequestHeader(dec);
-  if (!hdr.ok()) return Buffer();
+  if (!hdr.ok()) return nullptr;
   const std::uint64_t ticket = hdr->request_id;
 
   switch (static_cast<ClientOp>(hdr->op)) {
     case ClientOp::kHello:
-      return HandleHello(ticket, dec);
+      return Share(HandleHello(ticket, dec));
     case ClientOp::kBye:
       bye = true;
-      return core::EncodeStatusReply(ticket, OkStatus());
+      return Share(core::EncodeStatusReply(ticket, OkStatus()));
     case ClientOp::kSetGcInterest: {
+      // Idempotent, so a replay simply runs it again.
       auto req = SetGcInterestReq::Decode(dec);
-      if (!req.ok()) return core::EncodeStatusReply(ticket, req.status());
+      if (!req.ok()) {
+        return Share(core::EncodeStatusReply(ticket, req.status()));
+      }
       {
         ds::MutexLock lock(gc_mu_);
         if (req->enable) {
@@ -144,17 +154,18 @@ Buffer Surrogate::HandleFrame(std::span<const std::uint8_t> frame, bool& bye,
           gc_interest_.erase(req->container_bits);
         }
       }
+      SharedReply reply = Share(core::EncodeStatusReply(ticket, OkStatus()));
       {
         ds::MutexLock lock(session_mu_);
-        if (ticket > last_executed_ticket_) last_executed_ticket_ = ticket;
+        SetSlotLocked(ticket, reply, /*journaled=*/false);
       }
       MirrorSession();
-      return core::EncodeStatusReply(ticket, OkStatus());
+      return reply;
     }
     case ClientOp::kResume:
       // A Resume mid-stream (the listener normally services it during
       // the handshake): answer it in place.
-      return ResumeReply(ticket);
+      return Share(ResumeReply(ticket));
     default:
       break;
   }
@@ -164,36 +175,14 @@ Buffer Surrogate::HandleFrame(std::span<const std::uint8_t> frame, bool& bye,
   // An undecodable body is answered with the decode error, like any
   // other failed op, and has no effect.
   auto body = core::DecodeRequestBody(hdr->op, dec);
-  if (!body.ok()) return core::EncodeStatusReply(ticket, body.status());
+  if (!body.ok()) return Share(core::EncodeStatusReply(ticket, body.status()));
   core::Request request{*hdr, std::move(*body)};
-  const core::Op op = hdr->op;
 
   {
     ds::MutexLock lock(session_mu_);
-    // Replay dedup: a call the device re-sends after a dropped
-    // connection must not run twice.
-    if (ticket == cached_reply_ticket_ && !cached_reply_.empty()) {
-      m_replay_hits_->Add();
-      // Destructive-read replay answered from the journal instead of
-      // dequeuing a second item.
-      if (ticket == redo_ticket_) m_redo_replayed_->Add();
-      return cached_reply_;  // resend the very reply that was lost
-    }
-    if (ticket == redo_ticket_ && !redo_payload_.empty()) {
-      // The reply cache has moved on (e.g. the client's post-resume
-      // listener-cache refresh ran before this replay arrived), but a
-      // destructive read's reply outlives the cache in the redo
-      // journal. Answer from it rather than dequeuing a second item.
-      m_replay_hits_->Add();
-      m_redo_replayed_->Add();
-      return redo_payload_;
-    }
-    if (ticket <= last_executed_ticket_ && IsIdempotentSynthOp(op)) {
-      // Executed before a failover; the original reply died with the
-      // old surrogate but the effect is durable. Ack it.
-      m_replay_hits_->Add();
-      return core::EncodeStatusReply(ticket, OkStatus());
-    }
+    // A call the device re-sends after a dropped connection must not
+    // run twice.
+    if (SharedReply replay = ReplayLocked(ticket, hdr->op)) return replay;
     RemapSlot(slot_remaps_, request.body);
   }
   m_calls_->Add();
@@ -201,7 +190,7 @@ Buffer Surrogate::HandleFrame(std::span<const std::uint8_t> frame, bool& bye,
   if (edge_faults_ && edge_faults_->TakeConnectionKill(
                           clf::FaultInjector::KillPoint::kBeforeExecute)) {
     kill_conn = true;  // drop the link before the op runs
-    return Buffer();
+    return nullptr;
   }
 
   // Tracing: adopt the device's wire span as "client.call" (the client
@@ -211,12 +200,12 @@ Buffer Surrogate::HandleFrame(std::span<const std::uint8_t> frame, bool& bye,
   // context onward. No-ops when the frame carried no sampled context.
   trace::ScopedSpan client_call(&host_.span_sink(), "client.call", hdr->trace,
                                 /*adopt_span_id=*/true);
-  Buffer reply;
+  SharedReply reply;
   {
     trace::ScopedSpan dispatch(&host_.span_sink(), "surrogate.dispatch");
-    reply = host_.Execute(request);
+    reply = Share(host_.Execute(request));
   }
-  marshal::XdrDecoder reply_dec(reply);
+  marshal::XdrDecoder reply_dec(*reply);
   auto reply_hdr = core::DecodeResponseHeader(reply_dec);
   const bool executed = reply_hdr.ok() && reply_hdr->status.ok();
 
@@ -227,45 +216,37 @@ Buffer Surrogate::HandleFrame(std::span<const std::uint8_t> frame, bool& bye,
   // replay an op whose remote effect is already durable.
   if (host_.stopped() && !executed) {
     kill_conn = true;
-    return Buffer();
+    return nullptr;
   }
 
-  if (executed) TrackSessionState(request, reply_dec);
   // Exactly-once destructive reads: a successful Get on a *remote*
   // queue dequeued an item whose only copy is now this reply. Journal
-  // the reply into the (replicated) session registry before it is sent,
-  // so if both the reply and this host die, the rehydrated surrogate
-  // answers the device's replay from the journal instead of dequeuing
-  // a second item. Host-owned queues die with the host, so they skip
-  // the journal like MirrorTicket skips the high-water mark.
+  // it (mirror the slot) before it is sent, so if both the reply and
+  // this host die, the rehydrated surrogate answers the device's replay
+  // from the slot instead of dequeuing a second item. Host-owned queues
+  // die with the host, so they skip the journal.
   const auto* get = std::get_if<core::GetReq>(&request.body);
   std::optional<Timestamp> journal_ts;  // set iff the read is journaled
-  if (durable_ && executed && get != nullptr && get->is_queue &&
+  if (ticket != 0 && executed && get != nullptr && get->is_queue &&
       QueueId::FromBits(get->container_bits).owner() != host_.id()) {
     auto ts = reply_dec.GetI64();
     if (ts.ok()) journal_ts = *ts;
   }
-  const bool journal_redo = journal_ts.has_value();
+  bool record_changed = false;
   {
     ds::MutexLock lock(session_mu_);
-    if (ticket > last_executed_ticket_) last_executed_ticket_ = ticket;
-    // Ticket 0 marks an untracked read (the client's post-resume
-    // listener-cache refresh): it must not evict the cached reply the
-    // still-unreplayed in-flight call is about to be answered from.
-    if (ticket != 0) {
-      cached_reply_ticket_ = ticket;
-      cached_reply_ = reply;  // pre-trailer; trailer is appended per send
-    }
-    if (journal_redo) {
-      redo_ticket_ = ticket;
-      redo_payload_ = reply;
-    }
+    SetSlotLocked(ticket, reply, journal_ts.has_value());
+    if (executed) record_changed = TrackSessionStateLocked(request, reply_dec);
   }
-  if (journal_redo) {
-    // Full-record mirror carries the redo journal; must complete before
-    // the reply leaves (a failed mirror degrades to at-most-once-per-
-    // live-surrogate, logged by MirrorSession).
+
+  // Each op mirrors at most once, after the slot is set: the full record
+  // when the session state changed, else the slot alone when the call's
+  // effect outlives this host. A failed mirror degrades to
+  // exactly-once per live surrogate (logged).
+  if (record_changed) {
     MirrorSession();
+  } else if (journal_ts.has_value()) {
+    MirrorSlot(ticket, *reply);
     m_redo_journaled_->Add();
     // A journaled read is consumed on delivery: once the reply is
     // answerable from the journal, the item's only copy is the journal,
@@ -288,53 +269,75 @@ Buffer Surrogate::HandleFrame(std::span<const std::uint8_t> frame, bool& bye,
                     << ": journaled-read dequeue commit failed: "
                     << (chdr.ok() ? chdr->status : chdr.status());
     }
-  } else {
-    MirrorTicket(request);
+  } else if (ticket != 0 && OutlivesHost(request)) {
+    MirrorSlot(ticket, *reply);
   }
 
   if (edge_faults_ && edge_faults_->TakeConnectionKill(
                           clf::FaultInjector::KillPoint::kAfterExecute)) {
     kill_conn = true;  // executed, but the reply never reaches the device
-    return Buffer();
+    return nullptr;
   }
   return reply;
 }
 
-void Surrogate::TrackSessionState(const core::Request& request,
-                                  marshal::XdrDecoder reply_body) {
-  {
-    ds::MutexLock lock(session_mu_);
-    switch (request.header.op) {
-      case core::Op::kAttach: {
-        const auto& req = std::get<core::AttachReq>(request.body);
-        auto slot = reply_body.GetU32();
-        if (slot.ok()) {
-          attachments_.push_back(Attachment{
-              req.container_bits, req.is_queue, *slot, *slot,
-              static_cast<std::uint8_t>(req.mode), req.label});
-        }
-        break;
-      }
-      case core::Op::kDetach: {
-        const auto& req = std::get<core::DetachReq>(request.body);
-        std::erase_if(attachments_, [&](const Attachment& a) {
-          return a.container_bits == req.container_bits &&
-                 a.is_queue == req.is_queue && a.slot == req.slot;
-        });
-        break;
-      }
-      case core::Op::kNsRegister:
-        registered_names_.push_back(std::get<core::NsEntry>(request.body).name);
-        break;
-      case core::Op::kNsUnregister:
-        std::erase(registered_names_,
-                   std::get<core::NsLookupReq>(request.body).name);
-        break;
-      default:
-        return;  // no session state to track
+bool Surrogate::TrackSessionStateLocked(const core::Request& request,
+                                        marshal::XdrDecoder reply_body) {
+  switch (request.header.op) {
+    case core::Op::kAttach: {
+      const auto& req = std::get<core::AttachReq>(request.body);
+      auto slot = reply_body.GetU32();
+      if (!slot.ok()) return false;
+      attachments_.push_back(Attachment{req.container_bits, req.is_queue,
+                                        *slot, *slot,
+                                        static_cast<std::uint8_t>(req.mode),
+                                        req.label});
+      return true;
     }
+    case core::Op::kDetach: {
+      const auto& req = std::get<core::DetachReq>(request.body);
+      std::erase_if(attachments_, [&](const Attachment& a) {
+        return a.container_bits == req.container_bits &&
+               a.is_queue == req.is_queue && a.slot == req.slot;
+      });
+      return true;
+    }
+    case core::Op::kNsRegister:
+      registered_names_.push_back(std::get<core::NsEntry>(request.body).name);
+      return true;
+    case core::Op::kNsUnregister:
+      std::erase(registered_names_,
+                 std::get<core::NsLookupReq>(request.body).name);
+      return true;
+    default:
+      return false;  // no session state to track
   }
-  MirrorSession();
+}
+
+bool Surrogate::OutlivesHost(const core::Request& request) const {
+  // An op on a host-owned container dies with the host anyway, so
+  // skipping the mirror there keeps the single-AS fast path free of
+  // extra RPCs.
+  switch (request.header.op) {
+    case core::Op::kNsRegister:
+    case core::Op::kNsUnregister:
+      return host_.name_server_as() != host_.id();
+    case core::Op::kPut:
+    case core::Op::kConsume:
+    case core::Op::kSetFilter:
+      return std::visit(
+          [this](const auto& req) {
+            if constexpr (requires { req.container_bits; }) {
+              return ChannelId::FromBits(req.container_bits).owner() !=
+                     host_.id();
+            } else {
+              return false;
+            }
+          },
+          request.body);
+    default:
+      return false;
+  }
 }
 
 core::SessionRecord Surrogate::SnapshotRecord() {
@@ -345,9 +348,8 @@ core::SessionRecord Surrogate::SnapshotRecord() {
   record.host_as = host_.id();
   {
     ds::MutexLock lock(session_mu_);
-    record.last_executed_ticket = last_executed_ticket_;
-    record.redo_ticket = redo_ticket_;
-    record.redo_payload = redo_payload_;
+    record.reply_ticket = slot_ticket_;
+    if (slot_reply_) record.reply = *slot_reply_;
     record.attachments.reserve(attachments_.size());
     for (const Attachment& a : attachments_) {
       record.attachments.push_back(core::SessionAttachment{
@@ -366,7 +368,7 @@ core::SessionRecord Surrogate::SnapshotRecord() {
 }
 
 void Surrogate::MirrorSession() {
-  if (!durable_ || host_.stopped()) return;
+  if (host_.stopped()) return;
   Status s = host_.SessionPut(SnapshotRecord());
   if (!s.ok()) {
     DS_LOG(kWarn) << "surrogate " << session_id_
@@ -374,37 +376,12 @@ void Surrogate::MirrorSession() {
   }
 }
 
-void Surrogate::MirrorTicket(const core::Request& request) {
-  if (!durable_ || host_.stopped()) return;
-  const core::Op op = request.header.op;
-  // Only mutations whose effects outlive this host need the durable
-  // high-water mark: ops on containers owned by a *peer* address space
-  // (they already pay a CLF round trip) and name-server mutations. An
-  // op on a host-owned container dies with the host anyway, so skipping
-  // the mirror there keeps the single-AS fast path free of extra RPCs.
-  // Attach/Detach/NsRegister/NsUnregister mirror the full record via
-  // TrackSessionState instead.
-  const bool ns_op = op == core::Op::kNsRegister ||
-                     op == core::Op::kNsUnregister;
-  const bool data_op = op == core::Op::kPut || op == core::Op::kConsume ||
-                       op == core::Op::kSetFilter;
-  if (!ns_op && !data_op) return;
-  const AsId target =
-      ns_op ? host_.name_server_as()
-            : std::visit(
-                  [](const auto& req) {
-                    if constexpr (requires { req.container_bits; }) {
-                      return ChannelId::FromBits(req.container_bits).owner();
-                    } else {
-                      return kInvalidAsId;
-                    }
-                  },
-                  request.body);
-  if (target == host_.id()) return;
-  Status s = host_.SessionTick(session_id_, request.header.request_id);
+void Surrogate::MirrorSlot(std::uint64_t ticket, const Buffer& reply) {
+  if (host_.stopped()) return;
+  Status s = host_.SessionSetReply(session_id_, ticket, reply);
   if (!s.ok()) {
     DS_LOG(kWarn) << "surrogate " << session_id_
-                  << ": ticket mirror failed: " << s;
+                  << ": reply slot mirror failed: " << s;
   }
 }
 
@@ -465,19 +442,12 @@ Status Surrogate::Rehydrate(const core::SessionRecord& record) {
     ds::MutexLock lock(session_mu_);
     attachments_ = std::move(restored);
     registered_names_ = record.registered_names;
-    if (record.last_executed_ticket > last_executed_ticket_) {
-      last_executed_ticket_ = record.last_executed_ticket;
-    }
     slot_remaps_ = std::move(remaps);
-    // Restore the destructive-read journal into the replay cache: the
-    // old host died, so the device will replay its last Get — answer it
-    // with the journaled reply, never by re-executing the dequeue.
-    if (record.redo_ticket != 0 && !record.redo_payload.empty()) {
-      redo_ticket_ = record.redo_ticket;
-      redo_payload_ = record.redo_payload;
-      cached_reply_ticket_ = record.redo_ticket;
-      cached_reply_ = record.redo_payload;
-    }
+    // The old host died, so the device will replay its in-flight call:
+    // the mirrored slot answers it if it was the call in the record. A
+    // Get reply there was journaled (only those mirror a Get's reply).
+    SetSlotLocked(record.reply_ticket, Share(record.reply),
+                  /*journaled=*/true);
   }
   // The record now lives on this host: update host_as and slots.
   MirrorSession();
@@ -489,9 +459,8 @@ Status Surrogate::ServiceResume(std::span<const std::uint8_t> frame) {
   auto hdr = core::DecodeRequestHeader(dec);
   if (!hdr.ok()) return InternalError("bad resume frame");
   Buffer reply = ResumeReply(hdr->request_id);
-  AppendNoticeTrailer(reply);
   calls_serviced_.fetch_add(1, std::memory_order_relaxed);
-  return conn_.SendFrame(reply);
+  return conn_.SendFrame(reply, TakeNoticeTrailer());
 }
 
 void Surrogate::MarkSuperseded() {
@@ -532,18 +501,13 @@ Status Surrogate::Reap() {
   for (const std::string& name : names) {
     (void)host_.NsUnregister(name);
   }
-  if (durable_) (void)host_.SessionDrop(session_id_);
+  (void)host_.SessionDrop(session_id_);
   return OkStatus();
 }
 
 std::size_t Surrogate::tracked_attachments() const {
   ds::MutexLock lock(session_mu_);
   return attachments_.size();
-}
-
-std::uint64_t Surrogate::last_executed_ticket() const {
-  ds::MutexLock lock(session_mu_);
-  return last_executed_ticket_;
 }
 
 void Surrogate::Park() {
@@ -561,10 +525,9 @@ Status Surrogate::ServiceHello(std::span<const std::uint8_t> frame) {
   auto hdr = core::DecodeRequestHeader(dec);
   if (!hdr.ok()) return InternalError("bad hello frame");
   Buffer reply = HandleHello(hdr->request_id, dec);
-  AppendNoticeTrailer(reply);
   calls_serviced_.fetch_add(1, std::memory_order_relaxed);
   MirrorSession();
-  return conn_.SendFrame(reply);
+  return conn_.SendFrame(reply, TakeNoticeTrailer());
 }
 
 void Surrogate::Run() {
@@ -589,14 +552,13 @@ void Surrogate::Run() {
       return;
     }
     bool kill_conn = false;
-    Buffer reply = HandleFrame(frame, bye, kill_conn);
-    if (kill_conn || reply.empty()) {
+    SharedReply reply = HandleFrame(frame, bye, kill_conn);
+    if (kill_conn || reply == nullptr) {
       Park();
       return;
     }
-    AppendNoticeTrailer(reply);
     calls_serviced_.fetch_add(1, std::memory_order_relaxed);
-    if (!conn_.SendFrame(reply).ok()) {
+    if (!conn_.SendFrame(*reply, TakeNoticeTrailer()).ok()) {
       Park();
       return;
     }
@@ -604,7 +566,7 @@ void Surrogate::Run() {
   if (bye) {
     state_.store(State::kLeft);
     conn_.Close();
-    if (durable_ && !host_.stopped()) (void)host_.SessionDrop(session_id_);
+    if (!host_.stopped()) (void)host_.SessionDrop(session_id_);
   } else {
     Park();
   }

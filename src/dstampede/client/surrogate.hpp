@@ -13,7 +13,7 @@
 // same two-phase waiter machinery as suspended remote requests
 // (SyncWaiter over GetAsync/PutAsync), so lifecycle cancellation —
 // container close, owner shutdown, peer death — unwinds a blocked
-// surrogate with the same statuses, and the reply cache sees an
+// surrogate with the same statuses, and the reply slot sees an
 // ordinary Status/ItemView result either way.
 //
 // Failure model: if the device vanishes without a clean Bye, the
@@ -21,16 +21,22 @@
 // its state is retained (the paper's §3.3 behaviour). On top of that,
 // the session-resilience extension makes parked sessions resumable:
 // the surrogate mirrors its session state (attachments, registered
-// names, GC interests, last executed per-call ticket) into the name
-// server's session registry, caches the last reply for idempotent
-// replay, and can be re-bound to a fresh TCP connection (Adopt) or
-// rebuilt from the registry on another address space (Rehydrate) when
-// its original host died.
+// names, GC interests) into the name server's session registry, and
+// can be re-bound to a fresh TCP connection (Adopt) or rebuilt from
+// the registry on another address space (Rehydrate) when its original
+// host died. One mechanism keeps a replayed call from running twice:
+// the reply slot. A device's calls are serialized and carry increasing
+// tickets, so at most one tracked call is unacknowledged at a time;
+// the slot holds that call's ticket and reply, the live send and a
+// replay read the same bytes, and the slot is mirrored into the
+// registry before the reply leaves whenever the call's effect outlives
+// this host (docs/FAILURES.md).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -48,11 +54,10 @@ class Surrogate {
   enum class State { kActive, kLeft, kParked, kReaped };
 
   // `edge_faults` (optional) injects TCP-edge connection kills around
-  // serviced requests; `durable` mirrors session state into the name
-  // server so the session survives surrogate/host loss.
+  // serviced requests.
   Surrogate(std::uint64_t session_id, core::AddressSpace& host,
             transport::TcpConnection conn,
-            clf::FaultInjector* edge_faults = nullptr, bool durable = true);
+            clf::FaultInjector* edge_faults = nullptr);
   ~Surrogate();
 
   Surrogate(const Surrogate&) = delete;
@@ -101,28 +106,44 @@ class Surrogate {
   Status Reap();
 
   std::size_t tracked_attachments() const;
-  std::uint64_t last_executed_ticket() const;
 
  private:
-  // Executes one request frame; returns the response frame. Sets bye
-  // when the device asked to leave, kill_conn when the fault injector
-  // asks for the connection to be dropped instead of replying.
-  Buffer HandleFrame(std::span<const std::uint8_t> frame, bool& bye,
-                     bool& kill_conn);
+  // A reply frame without its GC-notice trailer. The reply slot and the
+  // send path share it, so caching a reply copies no bytes.
+  using SharedReply = std::shared_ptr<const Buffer>;
+
+  // Executes one request frame; returns the response frame, or null to
+  // drop the connection. Sets bye when the device asked to leave,
+  // kill_conn when the fault injector asks for the connection to be
+  // dropped instead of replying.
+  SharedReply HandleFrame(std::span<const std::uint8_t> frame, bool& bye,
+                          bool& kill_conn);
   // `body` is positioned at the Hello fields.
   Buffer HandleHello(std::uint64_t request_id, marshal::XdrDecoder& body);
-  // Resume reply: this surrogate's host, last ticket and slot remaps.
+  // Resume reply: this surrogate's host, slot ticket and slot remaps.
   Buffer ResumeReply(std::uint64_t request_id);
-  void AppendNoticeTrailer(Buffer& reply);
+  // Drains the pending GC notices into the trailer sent after a reply.
+  Buffer TakeNoticeTrailer();
+  // The replay rule: a tracked call whose ticket is the slot's gets the
+  // slot's reply (null: execute it). Ticket 0 never matches.
+  SharedReply ReplayLocked(std::uint64_t ticket, core::Op op)
+      DS_REQUIRES(session_mu_);
+  void SetSlotLocked(std::uint64_t ticket, SharedReply reply, bool journaled)
+      DS_REQUIRES(session_mu_);
   // Maintains the device's session state for Reap() and the session
   // registry from an executed STM request; `reply_body` reads its
-  // successful reply's result fields.
-  void TrackSessionState(const core::Request& request,
-                         marshal::XdrDecoder reply_body);
-  // Mirrors the full session record / the ticket high-water mark into
-  // the name server's session registry (no-ops when not durable).
+  // successful reply's result fields. True when the record changed.
+  bool TrackSessionStateLocked(const core::Request& request,
+                               marshal::XdrDecoder reply_body)
+      DS_REQUIRES(session_mu_);
+  // Whether a call's effect outlives this host: a Put, Consume or
+  // SetFilter on a peer's container, or a name-server mutation when the
+  // name server is remote. Such a call mirrors its reply slot.
+  bool OutlivesHost(const core::Request& request) const;
+  // Mirror the full session record (reply slot included) / the reply
+  // slot alone into the name server's session registry.
   void MirrorSession();
-  void MirrorTicket(const core::Request& request);
+  void MirrorSlot(std::uint64_t ticket, const Buffer& reply);
   core::SessionRecord SnapshotRecord();
   void Park();
 
@@ -146,7 +167,6 @@ class Surrogate {
   core::AddressSpace& host_;
   transport::TcpConnection conn_;
   clf::FaultInjector* edge_faults_ = nullptr;
-  bool durable_ = true;
   std::string client_name_ = "?";
   std::uint32_t client_kind_ = 0;
 
@@ -175,18 +195,13 @@ class Surrogate {
   mutable ds::Mutex session_mu_{"surrogate.session_mu"};
   std::vector<Attachment> attachments_ DS_GUARDED_BY(session_mu_);
   std::vector<std::string> registered_names_ DS_GUARDED_BY(session_mu_);
-  // Per-call ticket machinery: highest executed device request id, and
-  // the cached (pre-trailer) reply of the most recent STM call so a
-  // replay after a dropped connection is answered without re-running.
-  std::uint64_t last_executed_ticket_ DS_GUARDED_BY(session_mu_) = 0;
-  std::uint64_t cached_reply_ticket_ DS_GUARDED_BY(session_mu_) = 0;
-  Buffer cached_reply_ DS_GUARDED_BY(session_mu_);
-  // Exactly-once redo log for destructive reads: the last remote-queue
-  // Get reply, journaled into the session registry *before* it is sent
-  // to the device (see SessionRecord::redo_ticket). Survives host
-  // death, unlike cached_reply_.
-  std::uint64_t redo_ticket_ DS_GUARDED_BY(session_mu_) = 0;
-  Buffer redo_payload_ DS_GUARDED_BY(session_mu_);
+  // The reply slot: the ticket and reply of the last tracked call
+  // (SessionRecord::reply_ticket/reply is its mirror). `slot_journaled_`
+  // marks a destructive read's reply that is in the registry, so its
+  // replay counts as a redo (surrogate.redo_replayed).
+  std::uint64_t slot_ticket_ DS_GUARDED_BY(session_mu_) = 0;
+  SharedReply slot_reply_ DS_GUARDED_BY(session_mu_);
+  bool slot_journaled_ DS_GUARDED_BY(session_mu_) = false;
   // Post-migration slot translation (old surrogate's slot -> ours),
   // applied to each request's decoded body under session_mu_.
   std::vector<SlotRemap> slot_remaps_ DS_GUARDED_BY(session_mu_);

@@ -63,8 +63,8 @@ std::int64_t Histogram::Percentile(double p) const {
   const std::uint64_t n = Count();
   if (n == 0) return 0;
   p = std::clamp(p, 0.0, 100.0);
-  // Rank of the target sample (1-based), matching LatencyRecorder's
-  // nearest-rank percentile.
+  // Rank of the target sample (1-based): p percent of the way from the
+  // smallest sample to the largest, rounded down.
   std::uint64_t rank = static_cast<std::uint64_t>(p / 100.0 *
                                                   static_cast<double>(n - 1)) +
                        1;

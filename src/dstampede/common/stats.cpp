@@ -1,44 +1,8 @@
 #include "dstampede/common/stats.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <numeric>
-#include <sstream>
+#include <chrono>
 
 namespace dstampede {
-
-double LatencyRecorder::Mean() const {
-  if (samples_.empty()) return 0.0;
-  const double sum = std::accumulate(samples_.begin(), samples_.end(), 0.0);
-  return sum / static_cast<double>(samples_.size());
-}
-
-std::int64_t LatencyRecorder::Min() const {
-  if (samples_.empty()) return 0;
-  return *std::min_element(samples_.begin(), samples_.end());
-}
-
-std::int64_t LatencyRecorder::Max() const {
-  if (samples_.empty()) return 0;
-  return *std::max_element(samples_.begin(), samples_.end());
-}
-
-std::int64_t LatencyRecorder::Percentile(double p) const {
-  if (samples_.empty()) return 0;
-  std::vector<std::int64_t> sorted = samples_;
-  std::sort(sorted.begin(), sorted.end());
-  const double rank = (p / 100.0) * static_cast<double>(sorted.size() - 1);
-  const auto idx = static_cast<std::size_t>(std::llround(rank));
-  return sorted[std::min(idx, sorted.size() - 1)];
-}
-
-std::string LatencyRecorder::Summary() const {
-  std::ostringstream os;
-  os << "n=" << count() << " mean=" << Mean() << "us min=" << Min()
-     << "us p50=" << Median() << "us p99=" << Percentile(99)
-     << "us max=" << Max() << "us";
-  return os.str();
-}
 
 double RateMeter::ElapsedSeconds() const {
   return std::chrono::duration<double>(Now() - start_).count();

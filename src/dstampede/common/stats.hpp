@@ -1,42 +1,13 @@
-// Measurement helpers shared by tests and the benchmark harnesses:
-// latency samples with percentiles, and sustained-rate meters (the
-// frames/sec metric of §5.2).
+// Sustained-rate meters for the applications and examples (the
+// frames/sec metric of §5.2). Latency distributions live in
+// metrics::Histogram.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "dstampede/common/clock.hpp"
 
 namespace dstampede {
-
-// Collects latency samples (microseconds) and reports summary stats.
-// Not thread-safe; one recorder per measuring thread.
-class LatencyRecorder {
- public:
-  void Add(std::int64_t micros) { samples_.push_back(micros); }
-  void AddDuration(Duration d) { Add(ToMicros(d)); }
-
-  std::size_t count() const { return samples_.size(); }
-  bool empty() const { return samples_.empty(); }
-
-  double Mean() const;
-  std::int64_t Min() const;
-  std::int64_t Max() const;
-  // p in [0,100]; nearest-rank on a sorted copy.
-  std::int64_t Percentile(double p) const;
-  std::int64_t Median() const { return Percentile(50); }
-
-  // "n=..., mean=...us p50=...us p99=...us" for harness output.
-  std::string Summary() const;
-
-  void Clear() { samples_.clear(); }
-
- private:
-  std::vector<std::int64_t> samples_;
-};
 
 // Measures a sustained event rate over a wall-clock window, e.g. the
 // frames/sec seen by a display thread.
@@ -53,20 +24,6 @@ class RateMeter {
  private:
   TimePoint start_ = Now();
   std::uint64_t events_ = 0;
-};
-
-// Scoped stopwatch: records into a LatencyRecorder on destruction.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(LatencyRecorder& recorder)
-      : recorder_(recorder), start_(Now()) {}
-  ~ScopedTimer() { recorder_.AddDuration(Now() - start_); }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  LatencyRecorder& recorder_;
-  TimePoint start_;
 };
 
 }  // namespace dstampede

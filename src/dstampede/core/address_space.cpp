@@ -799,12 +799,13 @@ struct AddressSpace::Ops {
                      .session_id = std::get<SessionIdReq>(r.body).session_id});
   }
 
-  static Buffer SessionTick(AddressSpace& as, Request& r, AsId origin) {
-    const auto& req = std::get<SessionTickReq>(r.body);
+  static Buffer SessionSetReply(AddressSpace& as, Request& r, AsId origin) {
+    auto& req = std::get<SessionReplyReq>(r.body);
     return Mutation(as, r, origin,
-                    {.kind = NsMutation::Kind::kTickSession,
+                    {.kind = NsMutation::Kind::kSetSessionReply,
                      .session_id = req.session_id,
-                     .ticket = req.ticket});
+                     .ticket = req.ticket,
+                     .reply = std::move(req.reply)});
   }
 
   // Name-server reads: a replica whose lease view is stale refuses a
@@ -1009,7 +1010,7 @@ const AddressSpace::OpHandler* AddressSpace::HandlerFor(Op op) {
       {Op::kSessionPut, &Ops::SessionPut, nullptr},
       {Op::kSessionGet, &Ops::SessionGet, nullptr},
       {Op::kSessionDrop, &Ops::SessionDrop, nullptr},
-      {Op::kSessionTick, &Ops::SessionTick, nullptr},
+      {Op::kSessionSetReply, &Ops::SessionSetReply, nullptr},
       {Op::kMetrics, &Ops::Metrics, nullptr},
       {Op::kRepAppend, &Ops::RepAppend, nullptr},
       {Op::kRepFetch, &Ops::RepFetch, nullptr},
@@ -1329,8 +1330,9 @@ std::pair<Op, RequestBody> MutationRequest(const NsMutation& m) {
       return {Op::kSessionPut, m.session};
     case NsMutation::Kind::kDropSession:
       return {Op::kSessionDrop, SessionIdReq{m.session_id}};
-    case NsMutation::Kind::kTickSession:
-      return {Op::kSessionTick, SessionTickReq{m.session_id, m.ticket}};
+    case NsMutation::Kind::kSetSessionReply:
+      return {Op::kSessionSetReply,
+              SessionReplyReq{m.session_id, m.ticket, m.reply}};
     case NsMutation::Kind::kPurgeOwner:
       break;  // log-only, never routed
   }
@@ -1532,11 +1534,12 @@ Status AddressSpace::SessionDrop(std::uint64_t session_id) {
       {.kind = NsMutation::Kind::kDropSession, .session_id = session_id});
 }
 
-Status AddressSpace::SessionTick(std::uint64_t session_id,
-                                 std::uint64_t ticket) {
-  return MutateNs({.kind = NsMutation::Kind::kTickSession,
+Status AddressSpace::SessionSetReply(std::uint64_t session_id,
+                                     std::uint64_t ticket, Buffer reply) {
+  return MutateNs({.kind = NsMutation::Kind::kSetSessionReply,
                    .session_id = session_id,
-                   .ticket = ticket});
+                   .ticket = ticket,
+                   .reply = std::move(reply)});
 }
 
 // --- observability ---------------------------------------------------------------

@@ -178,7 +178,9 @@ class AddressSpace {
   Status SessionPut(const SessionRecord& record);
   Result<SessionRecord> SessionGet(std::uint64_t session_id);
   Status SessionDrop(std::uint64_t session_id);
-  Status SessionTick(std::uint64_t session_id, std::uint64_t ticket);
+  // Mirrors the session's reply slot (never rewinds it).
+  Status SessionSetReply(std::uint64_t session_id, std::uint64_t ticket,
+                         Buffer reply);
 
   // --- threads -----------------------------------------------------------
   // POSIX-like D-Stampede threads (§3.1). The runtime tracks them so

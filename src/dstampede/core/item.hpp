@@ -161,20 +161,17 @@ struct SessionRecord {
   std::uint32_t client_kind = 0;  // ClientKind bits from the Hello
   std::string client_name;
   AsId host_as = kInvalidAsId;  // AS currently hosting the surrogate
-  // Highest per-call ticket (client request id) whose effects are
-  // durably applied. A replayed ticket <= this is acked, not re-run.
-  std::uint64_t last_executed_ticket = 0;
   std::vector<SessionAttachment> attachments;
   std::vector<SessionGcInterest> gc_interests;
   std::vector<std::string> registered_names;
-  // Exactly-once redo log for destructive reads: the pre-trailer reply
-  // bytes of the last remote queue Get, journaled *before* the reply
-  // is sent to the device. If both the reply and the surrogate's host
-  // die, the rehydrated surrogate answers the client's replay of
-  // `redo_ticket` from this payload instead of dequeuing a second
-  // item. Empty payload (ticket 0) = nothing journaled.
-  std::uint64_t redo_ticket = 0;
-  Buffer redo_payload;
+  // The session's reply slot: the last tracked call's ticket (client
+  // request id) and its pre-trailer reply bytes, mirrored before the
+  // reply is sent to the device. A rehydrated surrogate answers a
+  // replay of `reply_ticket` with these bytes instead of running the
+  // call again. The registry never replaces the pair with one that has
+  // a lower ticket. Ticket 0 = empty slot.
+  std::uint64_t reply_ticket = 0;
+  Buffer reply;
   bool operator==(const SessionRecord&) const = default;
 };
 

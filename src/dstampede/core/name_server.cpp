@@ -1,7 +1,5 @@
 #include "dstampede/core/name_server.hpp"
 
-#include <algorithm>
-
 namespace dstampede::core {
 
 Status NameServer::Register(const NsEntry& entry) {
@@ -69,13 +67,18 @@ Status NameServer::PutSession(const SessionRecord& record) {
   if (record.session_id == 0) return InvalidArgumentError("session id 0");
   ds::MutexLock lock(mu_);
   auto [it, inserted] = sessions_.emplace(record.session_id, record);
-  if (!inserted) {
-    // Upsert, but never let a stale mirror rewind the ticket high-water
-    // mark — the dedup guarantee depends on it being monotone.
-    std::uint64_t ticket =
-        std::max(it->second.last_executed_ticket, record.last_executed_ticket);
-    it->second = record;
-    it->second.last_executed_ticket = ticket;
+  if (inserted) return OkStatus();
+  // Upsert, but never let a stale mirror rewind the reply slot: the
+  // replay dedup depends on it holding the newest tracked call.
+  SessionRecord& stored = it->second;
+  if (stored.reply_ticket <= record.reply_ticket) {
+    stored = record;
+  } else {
+    std::uint64_t ticket = stored.reply_ticket;
+    Buffer reply = std::move(stored.reply);
+    stored = record;
+    stored.reply_ticket = ticket;
+    stored.reply = std::move(reply);
   }
   return OkStatus();
 }
@@ -95,14 +98,16 @@ Status NameServer::DropSession(std::uint64_t session_id) {
   return OkStatus();
 }
 
-Status NameServer::TickSession(std::uint64_t session_id,
-                               std::uint64_t ticket) {
+Status NameServer::SetSessionReply(std::uint64_t session_id,
+                                   std::uint64_t ticket, const Buffer& reply) {
   ds::MutexLock lock(mu_);
   auto it = sessions_.find(session_id);
   if (it == sessions_.end())
     return NotFoundError("session: " + std::to_string(session_id));
-  if (ticket > it->second.last_executed_ticket)
-    it->second.last_executed_ticket = ticket;
+  if (ticket >= it->second.reply_ticket) {
+    it->second.reply_ticket = ticket;
+    it->second.reply = reply;
+  }
   return OkStatus();
 }
 
@@ -124,8 +129,8 @@ Status NameServer::Apply(const NsMutation& m) {
       return PutSession(m.session);
     case NsMutation::Kind::kDropSession:
       return DropSession(m.session_id);
-    case NsMutation::Kind::kTickSession:
-      return TickSession(m.session_id, m.ticket);
+    case NsMutation::Kind::kSetSessionReply:
+      return SetSessionReply(m.session_id, m.ticket, m.reply);
   }
   return InternalError("bad NsMutation kind");
 }

@@ -54,8 +54,10 @@ class NameServer {
   Status PutSession(const SessionRecord& record);
   Result<SessionRecord> GetSession(std::uint64_t session_id) const;
   Status DropSession(std::uint64_t session_id);
-  // Advances last_executed_ticket monotonically (never rewinds).
-  Status TickSession(std::uint64_t session_id, std::uint64_t ticket);
+  // Replaces the session's reply slot unless it holds a higher ticket
+  // (never rewinds; PutSession keeps the slot by the same rule).
+  Status SetSessionReply(std::uint64_t session_id, std::uint64_t ticket,
+                         const Buffer& reply);
   std::size_t session_count() const;
 
   // --- replication (core/replog.hpp) -----------------------------------
@@ -65,7 +67,7 @@ class NameServer {
   // paths share one state machine. Every Apply is deterministic and
   // commutes into the same final state on every replica that applies
   // the same log prefix; mutations that target missing state
-  // (re-applied Unregister, TickSession for a dropped session) return
+  // (re-applied Unregister, SetSessionReply for a dropped session) return
   // their usual error to the *caller* but leave all replicas
   // identical.
   Status Apply(const NsMutation& m);

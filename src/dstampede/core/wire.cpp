@@ -149,7 +149,6 @@ Result<SessionRecord> DecodeSessionRecord(marshal::XdrDecoder& dec) {
   DS_ASSIGN_OR_RETURN(rec.client_name, dec.GetString());
   DS_ASSIGN_OR_RETURN(std::uint32_t host, dec.GetU32());
   rec.host_as = static_cast<AsId>(host);
-  DS_ASSIGN_OR_RETURN(rec.last_executed_ticket, dec.GetU64());
   DS_ASSIGN_OR_RETURN(std::uint32_t n_attach, dec.GetU32());
   if (n_attach > 1u << 20) return InternalError("bad attachment count");
   rec.attachments.reserve(n_attach);
@@ -179,8 +178,8 @@ Result<SessionRecord> DecodeSessionRecord(marshal::XdrDecoder& dec) {
     DS_ASSIGN_OR_RETURN(std::string name, dec.GetString());
     rec.registered_names.push_back(std::move(name));
   }
-  DS_ASSIGN_OR_RETURN(rec.redo_ticket, dec.GetU64());
-  DS_ASSIGN_OR_RETURN(rec.redo_payload, dec.GetOpaque());
+  DS_ASSIGN_OR_RETURN(rec.reply_ticket, dec.GetU64());
+  DS_ASSIGN_OR_RETURN(rec.reply, dec.GetOpaque());
   return rec;
 }
 
@@ -190,10 +189,11 @@ Result<SessionIdReq> SessionIdReq::Decode(marshal::XdrDecoder& dec) {
   return req;
 }
 
-Result<SessionTickReq> SessionTickReq::Decode(marshal::XdrDecoder& dec) {
-  SessionTickReq req;
+Result<SessionReplyReq> SessionReplyReq::Decode(marshal::XdrDecoder& dec) {
+  SessionReplyReq req;
   DS_ASSIGN_OR_RETURN(req.session_id, dec.GetU64());
   DS_ASSIGN_OR_RETURN(req.ticket, dec.GetU64());
+  DS_ASSIGN_OR_RETURN(req.reply, dec.GetOpaque());
   return req;
 }
 
@@ -229,9 +229,10 @@ Buffer EncodeNsMutation(const NsMutation& m) {
     case NsMutation::Kind::kDropSession:
       enc.PutU64(m.session_id);
       break;
-    case NsMutation::Kind::kTickSession:
+    case NsMutation::Kind::kSetSessionReply:
       enc.PutU64(m.session_id);
       enc.PutU64(m.ticket);
+      enc.PutOpaque(m.reply);
       break;
   }
   return enc.Take();
@@ -265,9 +266,10 @@ Result<NsMutation> DecodeNsMutation(const Buffer& bytes) {
       DS_ASSIGN_OR_RETURN(m.session_id, dec.GetU64());
       break;
     }
-    case NsMutation::Kind::kTickSession: {
+    case NsMutation::Kind::kSetSessionReply: {
       DS_ASSIGN_OR_RETURN(m.session_id, dec.GetU64());
       DS_ASSIGN_OR_RETURN(m.ticket, dec.GetU64());
+      DS_ASSIGN_OR_RETURN(m.reply, dec.GetOpaque());
       break;
     }
   }
@@ -372,8 +374,8 @@ Result<RequestBody> DecodeRequestBody(Op op, marshal::XdrDecoder& dec) {
     case Op::kSessionGet:
     case Op::kSessionDrop:
       return AsBody(SessionIdReq::Decode(dec));
-    case Op::kSessionTick:
-      return AsBody(SessionTickReq::Decode(dec));
+    case Op::kSessionSetReply:
+      return AsBody(SessionReplyReq::Decode(dec));
     case Op::kMetrics:
       return AsBody(MetricsReq::Decode(dec));
     case Op::kRepAppend:

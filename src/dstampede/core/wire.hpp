@@ -57,7 +57,7 @@ enum class Op : std::uint32_t {
   kSessionPut = 13,
   kSessionGet = 14,
   kSessionDrop = 15,
-  kSessionTick = 16,
+  kSessionSetReply = 16,
   // Introspection: returns the target address space's sys/metrics
   // JSON snapshot (registry + spans + per-container space-time state).
   kMetrics = 17,
@@ -253,7 +253,6 @@ void EncodeSessionRecord(Enc& enc, const SessionRecord& rec) {
   enc.PutU32(rec.client_kind);
   enc.PutString(rec.client_name);
   enc.PutU32(AsIndex(rec.host_as));
-  enc.PutU64(rec.last_executed_ticket);
   enc.PutU32(static_cast<std::uint32_t>(rec.attachments.size()));
   for (const auto& a : rec.attachments) {
     enc.PutU64(a.container_bits);
@@ -269,8 +268,8 @@ void EncodeSessionRecord(Enc& enc, const SessionRecord& rec) {
   }
   enc.PutU32(static_cast<std::uint32_t>(rec.registered_names.size()));
   for (const auto& n : rec.registered_names) enc.PutString(n);
-  enc.PutU64(rec.redo_ticket);
-  enc.PutOpaque(rec.redo_payload);
+  enc.PutU64(rec.reply_ticket);
+  enc.PutOpaque(rec.reply);
 }
 Result<SessionRecord> DecodeSessionRecord(marshal::XdrDecoder& dec);
 
@@ -285,17 +284,19 @@ struct SessionIdReq {  // kSessionGet / kSessionDrop
   bool operator==(const SessionIdReq&) const = default;
 };
 
-struct SessionTickReq {  // kSessionTick
+struct SessionReplyReq {  // kSessionSetReply: a session's reply slot
   std::uint64_t session_id = 0;
   std::uint64_t ticket = 0;
+  Buffer reply;
 
   template <class Enc>
   void Encode(Enc& enc) const {
     enc.PutU64(session_id);
     enc.PutU64(ticket);
+    enc.PutOpaque(reply);
   }
-  static Result<SessionTickReq> Decode(marshal::XdrDecoder& dec);
-  bool operator==(const SessionTickReq&) const = default;
+  static Result<SessionReplyReq> Decode(marshal::XdrDecoder& dec);
+  bool operator==(const SessionReplyReq&) const = default;
 };
 
 struct MetricsReq {  // kMetrics
@@ -338,15 +339,16 @@ struct NsMutation {
     kPurgeOwner = 3,
     kPutSession = 4,
     kDropSession = 5,
-    kTickSession = 6,
+    kSetSessionReply = 6,
   };
   Kind kind = Kind::kRegister;
   NsEntry entry{};                 // kRegister
   std::string name{};              // kUnregister
   AsId owner = kInvalidAsId;       // kPurgeOwner
   SessionRecord session{};         // kPutSession
-  std::uint64_t session_id = 0;    // kDropSession / kTickSession
-  std::uint64_t ticket = 0;        // kTickSession
+  std::uint64_t session_id = 0;    // kDropSession / kSetSessionReply
+  std::uint64_t ticket = 0;        // kSetSessionReply
+  Buffer reply{};                  // kSetSessionReply
 };
 Buffer EncodeNsMutation(const NsMutation& m);
 Result<NsMutation> DecodeNsMutation(const Buffer& bytes);
@@ -427,7 +429,7 @@ struct RepFetchResp {
 using RequestBody =
     std::variant<std::monostate, CreateReq, AttachReq, DetachReq, PutReq,
                  GetReq, ConsumeReq, SetFilterReq, NsEntry, NsLookupReq,
-                 SessionRecord, SessionIdReq, SessionTickReq, MetricsReq,
+                 SessionRecord, SessionIdReq, SessionReplyReq, MetricsReq,
                  RepAppendReq, RepFetchReq>;
 
 // One STM request, decoded once. The owner's dispatcher and the

@@ -6,6 +6,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 namespace dstampede::transport {
@@ -85,19 +86,44 @@ Status TcpConnection::RecvExact(std::span<std::uint8_t> data,
   return OkStatus();
 }
 
-Status TcpConnection::SendFrame(std::span<const std::uint8_t> payload) {
+Status TcpConnection::SendFrame(std::span<const std::uint8_t> payload,
+                                std::span<const std::uint8_t> trailer) {
   std::uint8_t header[4];
-  const auto len = static_cast<std::uint32_t>(payload.size());
+  const auto len = static_cast<std::uint32_t>(payload.size() + trailer.size());
   header[0] = static_cast<std::uint8_t>(len >> 24);
   header[1] = static_cast<std::uint8_t>(len >> 16);
   header[2] = static_cast<std::uint8_t>(len >> 8);
   header[3] = static_cast<std::uint8_t>(len);
-  // One writev-style send to avoid Nagle interactions on tiny frames.
-  Buffer frame;
-  frame.reserve(4 + payload.size());
-  frame.insert(frame.end(), header, header + 4);
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  return SendAll(frame);
+  // One gathered send: the parts are not copied into one buffer, and a
+  // tiny frame still leaves in one segment (no Nagle interaction).
+  iovec iov[3] = {
+      {header, sizeof header},
+      {const_cast<std::uint8_t*>(payload.data()), payload.size()},
+      {const_cast<std::uint8_t*>(trailer.data()), trailer.size()},
+  };
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = 3;
+  while (msg.msg_iovlen > 0) {
+    ssize_t n = ::sendmsg(fd_.get(), &msg, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return ErrnoStatus("send");
+    }
+    // Skip what a partial send took.
+    auto sent = static_cast<std::size_t>(n);
+    while (msg.msg_iovlen > 0 && sent >= msg.msg_iov->iov_len) {
+      sent -= msg.msg_iov->iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    if (msg.msg_iovlen > 0) {
+      auto* rest = static_cast<std::uint8_t*>(msg.msg_iov->iov_base);
+      msg.msg_iov->iov_base = rest + sent;
+      msg.msg_iov->iov_len -= sent;
+    }
+  }
+  return OkStatus();
 }
 
 Status TcpConnection::RecvFrame(Buffer& out, Deadline deadline) {

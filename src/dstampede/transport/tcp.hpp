@@ -27,8 +27,11 @@ class TcpConnection {
   bool valid() const { return fd_.valid(); }
   void Close() { fd_.Reset(); }
 
-  // Framed messages: u32 big-endian length, then payload.
-  Status SendFrame(std::span<const std::uint8_t> payload);
+  // Framed messages: u32 big-endian length, then payload. `trailer`
+  // follows the payload inside the same frame, so a caller can append
+  // to a buffer it shares without modifying it.
+  Status SendFrame(std::span<const std::uint8_t> payload,
+                   std::span<const std::uint8_t> trailer = {});
   // Receives one frame into out (replacing its contents).
   Status RecvFrame(Buffer& out, Deadline deadline = Deadline::Infinite());
 

@@ -3,6 +3,7 @@
 // piggybacking, C/Java interop, clean leave vs parked surrogate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 
 #include "dstampede/client/java_client.hpp"
@@ -557,6 +558,214 @@ TEST_F(ResilienceTest, ChannelOpsLandOnRemappedSlotsAfterFailover) {
   EXPECT_EQ(channel->live_items(), 0u);
 }
 
+// A device driven by raw frames. A CClient resumes as soon as its link
+// drops, so its host is still alive when it replays; this one resumes
+// only when the test says so.
+class RawDevice {
+ public:
+  // Connects and says Hello; the listener hosts the session on
+  // `preferred_as`.
+  Status Join(const transport::SockAddr& listener, std::int32_t preferred_as) {
+    listener_ = listener;
+    DS_ASSIGN_OR_RETURN(conn_, transport::TcpConnection::Connect(listener_));
+    marshal::XdrEncoder enc;
+    core::EncodeRequestHeader(enc, static_cast<core::Op>(ClientOp::kHello),
+                              ++ticket_);
+    HelloReq{kClientKindC, "raw-device", preferred_as}.Encode(enc);
+    DS_ASSIGN_OR_RETURN(Buffer reply, RoundTrip(enc.Take()));
+    marshal::XdrDecoder dec(reply);
+    DS_RETURN_IF_ERROR(Body(dec));
+    DS_RETURN_IF_ERROR(dec.GetU32().status());  // host AS
+    DS_ASSIGN_OR_RETURN(session_id_, dec.GetU64());
+    return OkStatus();
+  }
+
+  // The frame of the next tracked call (takes the next ticket).
+  Buffer Frame(core::Op op, const core::RequestBody& body) {
+    marshal::XdrEncoder enc;
+    core::EncodeRequestHeader(enc, op, ++ticket_);
+    core::EncodeRequestBody(enc, body);
+    return enc.Take();
+  }
+  Result<Buffer> Call(core::Op op, const core::RequestBody& body) {
+    return RoundTrip(Frame(op, body));
+  }
+  Result<Buffer> RoundTrip(const Buffer& frame) {
+    DS_RETURN_IF_ERROR(conn_.SendFrame(frame));
+    Buffer reply;
+    DS_RETURN_IF_ERROR(conn_.RecvFrame(reply, Deadline::AfterMillis(5000)));
+    return reply;
+  }
+
+  // Reconnects and resumes the session wherever the listener puts it.
+  Status Resume() {
+    DS_ASSIGN_OR_RETURN(conn_, transport::TcpConnection::Connect(listener_));
+    marshal::XdrEncoder enc;
+    core::EncodeRequestHeader(enc, static_cast<core::Op>(ClientOp::kResume),
+                              ++ticket_);
+    ResumeReq{kClientKindC, session_id_, /*last_acked_ticket=*/0, -1}.Encode(
+        enc);
+    DS_ASSIGN_OR_RETURN(Buffer reply, RoundTrip(enc.Take()));
+    marshal::XdrDecoder dec(reply);
+    return Body(dec);
+  }
+
+  // Reads a reply's header: its status, or the decode error.
+  static Status Body(marshal::XdrDecoder& dec) {
+    DS_ASSIGN_OR_RETURN(core::ResponseHeader hdr,
+                        core::DecodeResponseHeader(dec));
+    return hdr.status;
+  }
+
+  std::uint64_t session_id() const { return session_id_; }
+
+ private:
+  transport::SockAddr listener_;
+  transport::TcpConnection conn_;
+  std::uint64_t ticket_ = 0;
+  std::uint64_t session_id_ = 0;
+};
+
+// The call whose reply is lost executes on the session's host, AS 1,
+// against containers on AS 0; AS 1 dies before the device resumes. The
+// migrated surrogate must answer the replay with the original reply,
+// not run the call a second time.
+TEST_F(ResilienceTest, ReplyLostAndHostDiedReplayIsAnsweredNotRerun) {
+  enum class Call { kAttach, kPut, kGet };
+  const struct {
+    const char* name;
+    Call call;
+  } kRows[] = {
+      {"attach to a channel", Call::kAttach},
+      {"put to a queue", Call::kPut},
+      {"destructive get from a queue", Call::kGet},
+  };
+  for (const auto& row : kRows) {
+    SCOPED_TRACE(row.name);
+    Start();
+    core::AddressSpace& owner = rt_->as(0);
+    auto ch = owner.CreateChannel();
+    auto q = owner.CreateQueue();
+    ASSERT_TRUE(ch.ok() && q.ok());
+    auto feed = owner.Connect(*q, ConnMode::kOutput);
+    ASSERT_TRUE(feed.ok()) << feed.status();
+    ASSERT_TRUE(owner.Put(*feed, 1, Bytes("q1")).ok());
+    ASSERT_TRUE(owner.Put(*feed, 2, Bytes("q2")).ok());
+
+    RawDevice device;
+    ASSERT_TRUE(device.Join(listener_->addr(), /*preferred_as=*/1).ok());
+    // Attach replies carry the slot the device's handle keeps.
+    auto attach = [&](const core::AttachReq& req) -> Result<std::uint32_t> {
+      DS_ASSIGN_OR_RETURN(Buffer reply, device.Call(core::Op::kAttach, req));
+      marshal::XdrDecoder dec(reply);
+      DS_RETURN_IF_ERROR(RawDevice::Body(dec));
+      return dec.GetU32();
+    };
+    auto q_out = attach({q->bits(), true, ConnMode::kOutput, "out"});
+    auto q_in = attach({q->bits(), true, ConnMode::kInput, "in"});
+    ASSERT_TRUE(q_out.ok() && q_in.ok());
+    const core::GetReq get{q->bits(), true, ConnMode::kInput, *q_in,
+                           GetSpec::Oldest(), 5000};
+
+    Buffer frame;
+    switch (row.call) {
+      case Call::kAttach:
+        frame = device.Frame(core::Op::kAttach,
+                             core::AttachReq{ch->bits(), false,
+                                             ConnMode::kInput, "ch-in"});
+        break;
+      case Call::kPut:
+        frame = device.Frame(core::Op::kPut,
+                             core::PutReq{q->bits(), true, ConnMode::kOutput,
+                                          *q_out, 3, 5000, Bytes("p3")});
+        break;
+      case Call::kGet:
+        frame = device.Frame(core::Op::kGet, get);
+        break;
+    }
+    // The call executes; its reply is lost with the link. Only then does
+    // the host die, and only then does the device resume.
+    edge_faults_.ArmConnectionKill(
+        1, clf::FaultInjector::KillPoint::kAfterExecute);
+    ASSERT_FALSE(device.RoundTrip(frame).ok());
+    rt_->as(1).Shutdown();
+    ASSERT_TRUE(device.Resume().ok());
+
+    metrics::Registry& migrated = rt_->as(0).metrics_registry();
+    const std::uint64_t calls = migrated.GetCounter("surrogate.calls").Value();
+    auto replay = device.RoundTrip(frame);
+    ASSERT_TRUE(replay.ok()) << replay.status();
+    // Counted once the migrated surrogate runs, so before it answers.
+    ASSERT_EQ(listener_->sessions_migrated(), 1u);
+    marshal::XdrDecoder dec(*replay);
+    ASSERT_TRUE(RawDevice::Body(dec).ok());
+    EXPECT_EQ(migrated.GetCounter("surrogate.calls").Value(), calls)
+        << "the replay ran the call again";
+    EXPECT_EQ(migrated.GetCounter("surrogate.replay_cache_hits").Value(), 1u);
+
+    switch (row.call) {
+      case Call::kAttach: {
+        // The original reply: the slot the session record holds for the
+        // attachment.
+        auto slot = dec.GetU32();
+        ASSERT_TRUE(slot.ok());
+        auto record = owner.SessionGet(device.session_id());
+        ASSERT_TRUE(record.ok()) << record.status();
+        const auto recorded = std::find_if(
+            record->attachments.begin(), record->attachments.end(),
+            [&](const core::SessionAttachment& a) {
+              return a.container_bits == ch->bits();
+            });
+        ASSERT_NE(recorded, record->attachments.end());
+        EXPECT_EQ(*slot, recorded->slot);
+        auto detached = device.Call(
+            core::Op::kDetach, core::DetachReq{ch->bits(), false, *slot});
+        ASSERT_TRUE(detached.ok()) << detached.status();
+        // Once AS 0 has detached the dead host's connections, nothing
+        // may still be attached to the channel for the device.
+        auto channel = owner.FindChannel(ch->bits());
+        ASSERT_NE(channel, nullptr);
+        for (int i = 0; i < 300 && channel->input_connections() != 0; ++i) {
+          std::this_thread::sleep_for(Millis(10));
+        }
+        EXPECT_EQ(channel->input_connections(), 0u);
+        break;
+      }
+      case Call::kPut: {
+        // The queue holds the put exactly once, after the fed items.
+        auto drain = owner.Connect(*q, ConnMode::kInput);
+        ASSERT_TRUE(drain.ok()) << drain.status();
+        for (std::string_view want : {"q1", "q2", "p3"}) {
+          auto item = owner.Get(*drain, Deadline::AfterMillis(2000));
+          ASSERT_TRUE(item.ok()) << item.status();
+          EXPECT_EQ(item->payload.ToString(), want);
+        }
+        EXPECT_EQ(owner.Get(*drain, Deadline::AfterMillis(100)).status().code(),
+                  StatusCode::kTimeout);
+        break;
+      }
+      case Call::kGet: {
+        auto ts = dec.GetI64();
+        auto payload = dec.GetOpaque();
+        ASSERT_TRUE(ts.ok() && payload.ok());
+        EXPECT_EQ(*ts, 1);
+        EXPECT_EQ(*payload, Bytes("q1"));
+        // The next Get returns the next item.
+        auto next = device.Call(core::Op::kGet, get);
+        ASSERT_TRUE(next.ok()) << next.status();
+        marshal::XdrDecoder next_dec(*next);
+        ASSERT_TRUE(RawDevice::Body(next_dec).ok());
+        EXPECT_EQ(next_dec.GetI64().value_or(0), 2);
+        EXPECT_EQ(next_dec.GetOpaque().value_or(Buffer{}), Bytes("q2"));
+        break;
+      }
+    }
+    TearDown();
+    listener_.reset();
+    rt_.reset();
+  }
+}
+
 TEST_F(ResilienceTest, ResumeAfterMigrationAdoptsTheLiveSurrogate) {
   Start();
   auto q = rt_->as(0).CreateQueue();
@@ -582,7 +791,7 @@ TEST_F(ResilienceTest, ResumeAfterMigrationAdoptsTheLiveSurrogate) {
   // match the live surrogate past the tombstone and adopt it in place;
   // re-migrating through the tombstone would supersede the live
   // surrogate, whose eventual reap (on a live host) destroys the
-  // session's registry record and reply cache.
+  // session's registry record and reply slot.
   edge_faults_.ArmConnectionKill(1,
                                  clf::FaultInjector::KillPoint::kBeforeExecute);
   for (int i = 6; i < 9; ++i) {

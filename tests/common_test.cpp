@@ -212,23 +212,6 @@ TEST(DeadlineTest, FutureDeadlineCountsDown) {
 
 // --- stats -----------------------------------------------------------------
 
-TEST(StatsTest, LatencyRecorderSummary) {
-  LatencyRecorder rec;
-  for (int i = 1; i <= 100; ++i) rec.Add(i);
-  EXPECT_EQ(rec.count(), 100u);
-  EXPECT_EQ(rec.Min(), 1);
-  EXPECT_EQ(rec.Max(), 100);
-  EXPECT_DOUBLE_EQ(rec.Mean(), 50.5);
-  EXPECT_NEAR(rec.Median(), 50, 1);
-  EXPECT_NEAR(rec.Percentile(99), 99, 1);
-}
-
-TEST(StatsTest, EmptyRecorderIsSafe) {
-  LatencyRecorder rec;
-  EXPECT_EQ(rec.Mean(), 0.0);
-  EXPECT_EQ(rec.Percentile(50), 0);
-}
-
 TEST(StatsTest, RateMeterMeasuresRate) {
   RateMeter meter;
   meter.Start();
@@ -237,16 +220,6 @@ TEST(StatsTest, RateMeterMeasuresRate) {
   const double rate = meter.Rate();
   EXPECT_GT(rate, 0.0);
   EXPECT_LT(rate, 100.0 / 0.040);  // at least 40ms elapsed
-}
-
-TEST(StatsTest, ScopedTimerRecords) {
-  LatencyRecorder rec;
-  {
-    ScopedTimer timer(rec);
-    std::this_thread::sleep_for(Millis(10));
-  }
-  ASSERT_EQ(rec.count(), 1u);
-  EXPECT_GE(rec.Min(), 8000);  // at least ~8ms in micros
 }
 
 // --- thread pool ----------------------------------------------------------------

@@ -102,13 +102,29 @@ TEST(NameServerTest, StoresIntendedUse) {
 
 // --- session registry (end-device session resilience) -----------------
 
+// The reply bytes a test stores in the slot for `ticket`.
+Buffer ReplyFor(std::uint64_t ticket) {
+  return Buffer{static_cast<std::uint8_t>(ticket),
+                static_cast<std::uint8_t>(ticket >> 8), 0xAB};
+}
+
 SessionRecord Session(std::uint64_t id, std::uint64_t ticket = 0) {
   SessionRecord record;
   record.session_id = id;
   record.client_name = "dev";
   record.host_as = static_cast<AsId>(1);
-  record.last_executed_ticket = ticket;
+  record.reply_ticket = ticket;
+  record.reply = ReplyFor(ticket);
   return record;
+}
+
+// Asserts the session's stored reply slot is (ticket, ReplyFor(ticket)).
+void ExpectSlot(const NameServer& ns, std::uint64_t id,
+                std::uint64_t ticket) {
+  auto got = ns.GetSession(id);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(got->reply_ticket, ticket);
+  EXPECT_EQ(got->reply, ReplyFor(ticket));
 }
 
 TEST(SessionRegistryTest, PutGetDropLifecycle) {
@@ -118,7 +134,8 @@ TEST(SessionRegistryTest, PutGetDropLifecycle) {
   EXPECT_EQ(ns.session_count(), 1u);
   auto got = ns.GetSession(7);
   ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got->last_executed_ticket, 3u);
+  EXPECT_EQ(got->reply_ticket, 3u);
+  EXPECT_EQ(got->reply, ReplyFor(3));
   EXPECT_EQ(got->client_name, "dev");
   ASSERT_TRUE(ns.DropSession(7).ok());
   EXPECT_EQ(ns.GetSession(7).status().code(), StatusCode::kNotFound);
@@ -128,22 +145,32 @@ TEST(SessionRegistryTest, PutGetDropLifecycle) {
 TEST(SessionRegistryTest, StaleMirrorNeverRewindsTicket) {
   NameServer ns;
   ASSERT_TRUE(ns.PutSession(Session(7, 10)).ok());
-  // A full-record mirror that raced an older snapshot must not move the
-  // exactly-once high-water mark backwards.
-  ASSERT_TRUE(ns.PutSession(Session(7, 4)).ok());
-  EXPECT_EQ(ns.GetSession(7)->last_executed_ticket, 10u);
-  ASSERT_TRUE(ns.TickSession(7, 12).ok());
-  EXPECT_EQ(ns.GetSession(7)->last_executed_ticket, 12u);
-  ASSERT_TRUE(ns.TickSession(7, 11).ok());  // monotone: ignored
-  EXPECT_EQ(ns.GetSession(7)->last_executed_ticket, 12u);
-  EXPECT_EQ(ns.TickSession(99, 1).code(), StatusCode::kNotFound);
+  // A full-record mirror that raced an older snapshot updates the rest
+  // of the record but must not move the reply slot backwards.
+  SessionRecord stale = Session(7, 4);
+  stale.client_name = "dev-moved";
+  ASSERT_TRUE(ns.PutSession(stale).ok());
+  ExpectSlot(ns, 7, 10);
+  EXPECT_EQ(ns.GetSession(7)->client_name, "dev-moved");
+  // A newer full record replaces the pair.
+  ASSERT_TRUE(ns.PutSession(Session(7, 11)).ok());
+  ExpectSlot(ns, 7, 11);
+  // Slot mutations obey the same rule.
+  ASSERT_TRUE(ns.SetSessionReply(7, 12, ReplyFor(12)).ok());
+  ExpectSlot(ns, 7, 12);
+  ASSERT_TRUE(ns.SetSessionReply(7, 11, ReplyFor(11)).ok());  // ignored
+  ExpectSlot(ns, 7, 12);
+  ASSERT_TRUE(ns.PutSession(Session(7, 12)).ok());  // same ticket: kept
+  ExpectSlot(ns, 7, 12);
+  EXPECT_EQ(ns.SetSessionReply(99, 1, ReplyFor(1)).code(),
+            StatusCode::kNotFound);
 }
 
 TEST(SessionRegistryTest, PurgeOwnerRacesSessionUpdate) {
   // Control-plane HA: when a peer dies, the (leader) replica appends a
   // PurgeOwner while surrogates keep mirroring session state. The two
   // interleave arbitrarily in the log; whatever the order, purges must
-  // only ever touch names and session tickets must stay monotone.
+  // only ever touch names and reply slots must never rewind.
   NameServer ns;
   const AsId dead = static_cast<AsId>(2);
   constexpr std::uint64_t kRounds = 500;
@@ -159,12 +186,12 @@ TEST(SessionRegistryTest, PurgeOwnerRacesSessionUpdate) {
   std::thread mirrorer([&] {
     ASSERT_TRUE(ns.PutSession(Session(7, 1)).ok());
     for (std::uint64_t t = 2; t <= kRounds; ++t) {
-      // Alternate full-record mirrors and high-water-mark ticks, the
+      // Alternate full-record mirrors and reply-slot mutations, the
       // two write shapes a live surrogate emits.
       if (t % 2 == 0) {
         ASSERT_TRUE(ns.PutSession(Session(7, t)).ok());
       } else {
-        ASSERT_TRUE(ns.TickSession(7, t).ok());
+        ASSERT_TRUE(ns.SetSessionReply(7, t, ReplyFor(t)).ok());
       }
     }
   });
@@ -172,20 +199,18 @@ TEST(SessionRegistryTest, PurgeOwnerRacesSessionUpdate) {
   mirrorer.join();
 
   // Every purged round removed its name; the session survived them all
-  // with the highest ticket it ever saw.
+  // with the reply slot of the highest ticket it ever saw.
   ns.PurgeOwner(dead);
   EXPECT_EQ(ns.List("owned/").size(), 0u);
-  auto got = ns.GetSession(7);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got->last_executed_ticket, kRounds);
+  ExpectSlot(ns, 7, kRounds);
 }
 
 TEST(SessionRegistryTest, TicketMonotoneAcrossLeaderChange) {
   // Two replicas driven by the same mutation log (encoded/decoded as
   // on the wire). The follower catches up *after* the leader dies —
   // and the client's first post-failover mirror may carry a snapshot
-  // older than the last entry the old leader journaled. The high-water
-  // mark must never rewind on either replica.
+  // older than the last entry the old leader journaled. The reply slot
+  // must never rewind on either replica.
   NameServer old_leader;
   NameServer new_leader;
   std::vector<Buffer> log;
@@ -195,19 +220,22 @@ TEST(SessionRegistryTest, TicketMonotoneAcrossLeaderChange) {
     ASSERT_TRUE(decoded.ok());
     (void)old_leader.Apply(*decoded);
   };
+  auto slot = [](std::uint64_t ticket) {
+    NsMutation m;
+    m.kind = NsMutation::Kind::kSetSessionReply;
+    m.session_id = 7;
+    m.ticket = ticket;
+    m.reply = ReplyFor(ticket);
+    return m;
+  };
 
   NsMutation put;
   put.kind = NsMutation::Kind::kPutSession;
   put.session = Session(7, 5);
   append(put);
-  NsMutation tick;
-  tick.kind = NsMutation::Kind::kTickSession;
-  tick.session_id = 7;
-  tick.ticket = 9;
-  append(tick);
-  tick.ticket = 12;
-  append(tick);
-  ASSERT_EQ(old_leader.GetSession(7)->last_executed_ticket, 12u);
+  append(slot(9));
+  append(slot(12));
+  ExpectSlot(old_leader, 7, 12);
 
   // Leader change: the new leader replays the full log.
   for (const Buffer& entry : log) {
@@ -215,17 +243,16 @@ TEST(SessionRegistryTest, TicketMonotoneAcrossLeaderChange) {
     ASSERT_TRUE(decoded.ok());
     (void)new_leader.Apply(*decoded);
   }
-  EXPECT_EQ(new_leader.GetSession(7)->last_executed_ticket, 12u);
+  ExpectSlot(new_leader, 7, 12);
 
   // Stale post-failover writes: a re-delivered log entry and a client
-  // mirror snapshotted before the crash. Both are ignored.
-  tick.ticket = 9;
-  (void)new_leader.Apply(tick);
+  // mirror snapshotted before the crash. Both leave the pair alone.
+  ASSERT_TRUE(new_leader.Apply(slot(9)).ok());
   NsMutation stale_put;
   stale_put.kind = NsMutation::Kind::kPutSession;
   stale_put.session = Session(7, 4);
   ASSERT_TRUE(new_leader.Apply(stale_put).ok());
-  EXPECT_EQ(new_leader.GetSession(7)->last_executed_ticket, 12u);
+  ExpectSlot(new_leader, 7, 12);
 }
 
 TEST(SessionRegistryTest, PurgeOwnerLeavesSessionsAlone) {

@@ -154,12 +154,11 @@ std::vector<std::pair<Op, RequestBody>> SampleRequests() {
   session.client_kind = 1;
   session.client_name = "camera";
   session.host_as = static_cast<AsId>(2);
-  session.last_executed_ticket = 40;
   session.attachments = {{0xC0FFEE, true, 3, 7, "in"}};
   session.gc_interests = {{0xC0FFEE, true}};
   session.registered_names = {"cam/0", "cam/1"};
-  session.redo_ticket = 39;
-  session.redo_payload = {4, 5, 6};
+  session.reply_ticket = 39;
+  session.reply = {4, 5, 6};
   ItemFilter filter;
   filter.stride = 3;
   filter.phase = 1;
@@ -186,7 +185,7 @@ std::vector<std::pair<Op, RequestBody>> SampleRequests() {
       {Op::kSessionPut, session},
       {Op::kSessionGet, SessionIdReq{11}},
       {Op::kSessionDrop, SessionIdReq{12}},
-      {Op::kSessionTick, SessionTickReq{13, 14}},
+      {Op::kSessionSetReply, SessionReplyReq{13, 14, {7, 8, 9}}},
       {Op::kMetrics, MetricsReq{3}},
       {Op::kRepAppend, RepAppendReq{5, 1, 10, 9, {{1}, {2, 3}}}},
       {Op::kRepFetch, RepFetchReq{4}},
