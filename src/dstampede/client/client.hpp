@@ -263,7 +263,6 @@ class BasicClient {
   AsId host_as_ = kInvalidAsId;
   std::uint64_t session_id_ = 0;
   std::atomic<std::uint64_t> next_request_id_{1};
-  std::uint64_t last_acked_id_ DS_GUARDED_BY(mu_) = 0;
   bool left_ DS_GUARDED_BY(mu_) = false;
   std::uint64_t reconnects_ DS_GUARDED_BY(mu_) = 0;
   std::uint64_t replays_ DS_GUARDED_BY(mu_) = 0;

@@ -135,10 +135,7 @@ Result<Buffer> BasicClient<Codec>::CallLocked(
         break;
       }
     }
-    if (s.ok()) {
-      last_acked_id_ = call_id;
-      return reply;
-    }
+    if (s.ok()) return reply;
     // Retry only when the transport is gone; a kTimeout from a live
     // surrogate (e.g. a blocking Get that ran out of time) must surface
     // as-is — replaying it could block for another full deadline.
@@ -202,7 +199,6 @@ Status BasicClient<Codec>::TryResumeLocked(
   ResumeReq req;
   req.client_kind = Codec::kKind;
   req.session_id = session_id_;
-  req.last_acked_ticket = last_acked_id_;
   req.preferred_as = options_.preferred_as;
   req.Encode(enc);
   DS_RETURN_IF_ERROR(connected->SendFrame(enc.Take()));
@@ -258,8 +254,9 @@ Status BasicClient<Codec>::RefreshListenerCacheLocked(
     std::vector<core::GcNotice>& deferred) {
   typename Codec::Encoder enc;
   // Request id 0 = untracked read: this refresh may run between a
-  // resume and the replay of the in-flight call, and a real ticket
-  // would evict the surrogate's reply slot that the replay needs.
+  // resume and the replay of the in-flight call, so it takes no ticket
+  // and the surrogate sends it untagged; it can never touch a reply
+  // slot the replay is answered from.
   core::EncodeRequestHeader(enc, core::Op::kNsList, 0);
   core::NsLookupReq req;
   req.name = "sys/listener/";

@@ -181,7 +181,7 @@ void Listener::HandleResume(transport::TcpConnection conn,
   // surrogates_ for the stats; matching one of them instead of the live
   // incarnation would re-migrate the session and supersede (then reap)
   // its actually-live surrogate, losing the registry record and the
-  // reply slot.
+  // reply slots.
   Surrogate* existing = nullptr;
   {
     ds::MutexLock lock(mu_);
@@ -207,11 +207,13 @@ void Listener::HandleResume(transport::TcpConnection conn,
     }
     if (existing->state() == Surrogate::State::kParked &&
         existing->Adopt(std::move(conn)).ok()) {
+      // Counted before the reply, so a device that reads the count
+      // after its Resume returns sees this resume.
+      sessions_resumed_.fetch_add(1, std::memory_order_relaxed);
       if (!existing->ServiceResume(frame).ok()) {
         existing->Stop();
         return;
       }
-      sessions_resumed_.fetch_add(1, std::memory_order_relaxed);
       SpawnRun(existing);
       return;
     }
@@ -259,11 +261,15 @@ void Listener::HandleResume(transport::TcpConnection conn,
   surrogate = std::make_unique<Surrogate>(session_id, live_as, std::move(conn),
                                           options_.edge_faults);
   raw = surrogate.get();
-  if (!raw->Rehydrate(*record).ok() || !raw->ServiceResume(frame).ok()) {
+  if (!raw->Rehydrate(*record).ok()) {
     raw->Stop();
     return;  // surrogate is dropped; registry record remains for retry
   }
   sessions_migrated_.fetch_add(1, std::memory_order_relaxed);
+  if (!raw->ServiceResume(frame).ok()) {
+    raw->Stop();
+    return;
+  }
   {
     ds::MutexLock lock(mu_);
     surrogates_.push_back(std::move(surrogate));

@@ -66,23 +66,18 @@ struct HelloResp {
 struct ResumeReq {
   std::uint32_t client_kind = kClientKindC;
   std::uint64_t session_id = 0;
-  // Highest ticket whose reply the client has fully received. The
-  // surrogate uses it to dedup the replay of the in-flight call.
-  std::uint64_t last_acked_ticket = 0;
   std::int32_t preferred_as = -1;
 
   template <class Enc>
   void Encode(Enc& enc) const {
     enc.PutU32(client_kind);
     enc.PutU64(session_id);
-    enc.PutU64(last_acked_ticket);
     enc.PutI32(preferred_as);
   }
   static Result<ResumeReq> Decode(marshal::XdrDecoder& dec) {
     ResumeReq req;
     DS_ASSIGN_OR_RETURN(req.client_kind, dec.GetU32());
     DS_ASSIGN_OR_RETURN(req.session_id, dec.GetU64());
-    DS_ASSIGN_OR_RETURN(req.last_acked_ticket, dec.GetU64());
     DS_ASSIGN_OR_RETURN(req.preferred_as, dec.GetI32());
     return req;
   }
@@ -102,7 +97,6 @@ struct SlotRemap {
 struct ResumeResp {
   std::uint32_t host_as = 0;
   std::uint64_t session_id = 0;
-  std::uint64_t last_executed_ticket = 0;
   std::vector<SlotRemap> remaps;
 };
 
@@ -110,7 +104,6 @@ template <class Enc>
 void EncodeResumeResp(Enc& enc, const ResumeResp& resp) {
   enc.PutU32(resp.host_as);
   enc.PutU64(resp.session_id);
-  enc.PutU64(resp.last_executed_ticket);
   enc.PutU32(static_cast<std::uint32_t>(resp.remaps.size()));
   for (const auto& r : resp.remaps) {
     enc.PutU64(r.container_bits);
@@ -125,7 +118,6 @@ Result<ResumeResp> DecodeResumeRespT(Dec& dec) {
   ResumeResp resp;
   DS_ASSIGN_OR_RETURN(resp.host_as, dec.GetU32());
   DS_ASSIGN_OR_RETURN(resp.session_id, dec.GetU64());
-  DS_ASSIGN_OR_RETURN(resp.last_executed_ticket, dec.GetU64());
   DS_ASSIGN_OR_RETURN(std::uint32_t count, dec.GetU32());
   resp.remaps.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {

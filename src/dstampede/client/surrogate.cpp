@@ -1,7 +1,6 @@
 #include "dstampede/client/surrogate.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <variant>
 
 #include "dstampede/common/logging.hpp"
@@ -32,9 +31,7 @@ void RemapSlot(const std::vector<SlotRemap>& remaps, core::RequestBody& body) {
       body);
 }
 
-std::shared_ptr<const Buffer> Share(Buffer reply) {
-  return std::make_shared<const Buffer>(std::move(reply));
-}
+using core::Share;
 
 }  // namespace
 
@@ -45,13 +42,7 @@ Surrogate::Surrogate(std::uint64_t session_id, core::AddressSpace& host,
       host_(host),
       conn_(std::move(conn)),
       edge_faults_(edge_faults) {
-  m_replay_hits_ = &host_.metrics_registry().GetCounter(
-      "surrogate.replay_cache_hits");
   m_calls_ = &host_.metrics_registry().GetCounter("surrogate.calls");
-  m_redo_journaled_ =
-      &host_.metrics_registry().GetCounter("surrogate.redo_journaled");
-  m_redo_replayed_ =
-      &host_.metrics_registry().GetCounter("surrogate.redo_replayed");
   gc_sink_token_ = host_.gc().AddSink(
       [this](const std::vector<core::GcNotice>& batch) {
         ds::MutexLock lock(gc_mu_);
@@ -99,32 +90,10 @@ Buffer Surrogate::ResumeReply(std::uint64_t request_id) {
   resp.session_id = session_id_;
   {
     ds::MutexLock lock(session_mu_);
-    resp.last_executed_ticket = slot_ticket_;
     resp.remaps = slot_remaps_;
   }
   EncodeResumeResp(enc, resp);
   return enc.Take();
-}
-
-Surrogate::SharedReply Surrogate::ReplayLocked(std::uint64_t ticket,
-                                              core::Op op) {
-  if (ticket == 0 || ticket != slot_ticket_) return nullptr;
-  m_replay_hits_->Add();
-  // A destructive read answered from its journaled reply instead of
-  // dequeuing a second item.
-  if (slot_journaled_ && op == core::Op::kGet) m_redo_replayed_->Add();
-  return slot_reply_;  // resend the very reply that was lost
-}
-
-void Surrogate::SetSlotLocked(std::uint64_t ticket, SharedReply reply,
-                              bool journaled) {
-  // Ticket 0 marks an untracked call (the client's post-resume
-  // listener-cache refresh): it must not evict the reply the
-  // still-unreplayed in-flight call is about to be answered from.
-  if (ticket == 0) return;
-  slot_ticket_ = ticket;
-  slot_reply_ = std::move(reply);
-  slot_journaled_ = journaled;
 }
 
 Surrogate::SharedReply Surrogate::HandleFrame(
@@ -154,13 +123,8 @@ Surrogate::SharedReply Surrogate::HandleFrame(
           gc_interest_.erase(req->container_bits);
         }
       }
-      SharedReply reply = Share(core::EncodeStatusReply(ticket, OkStatus()));
-      {
-        ds::MutexLock lock(session_mu_);
-        SetSlotLocked(ticket, reply, /*journaled=*/false);
-      }
       MirrorSession();
-      return reply;
+      return Share(core::EncodeStatusReply(ticket, OkStatus()));
     }
     case ClientOp::kResume:
       // A Resume mid-stream (the listener normally services it during
@@ -177,14 +141,15 @@ Surrogate::SharedReply Surrogate::HandleFrame(
   auto body = core::DecodeRequestBody(hdr->op, dec);
   if (!body.ok()) return Share(core::EncodeStatusReply(ticket, body.status()));
   core::Request request{*hdr, std::move(*body)};
-
   {
     ds::MutexLock lock(session_mu_);
-    // A call the device re-sends after a dropped connection must not
-    // run twice.
-    if (SharedReply replay = ReplayLocked(ticket, hdr->op)) return replay;
     RemapSlot(slot_remaps_, request.body);
   }
+  // A call the device re-sends after a dropped connection must not run
+  // twice: a tracked call carries the session's tag to wherever its
+  // effect applies, and that space answers a replay from its slot.
+  request.header.session =
+      ticket != 0 ? core::SessionTag{session_id_, ticket} : core::SessionTag{};
   m_calls_->Add();
 
   if (edge_faults_ && edge_faults_->TakeConnectionKill(
@@ -203,7 +168,7 @@ Surrogate::SharedReply Surrogate::HandleFrame(
   SharedReply reply;
   {
     trace::ScopedSpan dispatch(&host_.span_sink(), "surrogate.dispatch");
-    reply = Share(host_.Execute(request));
+    reply = host_.ExecuteShared(request);
   }
   marshal::XdrDecoder reply_dec(*reply);
   auto reply_hdr = core::DecodeResponseHeader(reply_dec);
@@ -219,59 +184,13 @@ Surrogate::SharedReply Surrogate::HandleFrame(
     return nullptr;
   }
 
-  // Exactly-once destructive reads: a successful Get on a *remote*
-  // queue dequeued an item whose only copy is now this reply. Journal
-  // it (mirror the slot) before it is sent, so if both the reply and
-  // this host die, the rehydrated surrogate answers the device's replay
-  // from the slot instead of dequeuing a second item. Host-owned queues
-  // die with the host, so they skip the journal.
-  const auto* get = std::get_if<core::GetReq>(&request.body);
-  std::optional<Timestamp> journal_ts;  // set iff the read is journaled
-  if (ticket != 0 && executed && get != nullptr && get->is_queue &&
-      QueueId::FromBits(get->container_bits).owner() != host_.id()) {
-    auto ts = reply_dec.GetI64();
-    if (ts.ok()) journal_ts = *ts;
-  }
+  // The full record is mirrored when the session state changed.
   bool record_changed = false;
-  {
+  if (executed) {
     ds::MutexLock lock(session_mu_);
-    SetSlotLocked(ticket, reply, journal_ts.has_value());
-    if (executed) record_changed = TrackSessionStateLocked(request, reply_dec);
+    record_changed = TrackSessionStateLocked(request, reply_dec);
   }
-
-  // Each op mirrors at most once, after the slot is set: the full record
-  // when the session state changed, else the slot alone when the call's
-  // effect outlives this host. A failed mirror degrades to
-  // exactly-once per live surrogate (logged).
-  if (record_changed) {
-    MirrorSession();
-  } else if (journal_ts.has_value()) {
-    MirrorSlot(ticket, *reply);
-    m_redo_journaled_->Add();
-    // A journaled read is consumed on delivery: once the reply is
-    // answerable from the journal, the item's only copy is the journal,
-    // so the owner's in-flight entry must not survive — otherwise the
-    // owner's host-death recovery would requeue it (Detach returns
-    // unconsumed in-flight items to the queue head) and the next Get
-    // would deliver it a second time. Commit the dequeue now; if the
-    // commit fails the item may be redelivered after a host death
-    // (at-least-once, logged), which beats silently losing it.
-    core::Request commit{{core::Op::kConsume, 0, {}},
-                         core::ConsumeReq{get->container_bits,
-                                          /*is_queue=*/true, get->mode,
-                                          get->slot, *journal_ts,
-                                          /*until=*/false}};
-    Buffer commit_reply = host_.Execute(commit);
-    marshal::XdrDecoder cdec(commit_reply);
-    auto chdr = core::DecodeResponseHeader(cdec);
-    if (!chdr.ok() || !chdr->status.ok()) {
-      DS_LOG(kWarn) << "surrogate " << session_id_
-                    << ": journaled-read dequeue commit failed: "
-                    << (chdr.ok() ? chdr->status : chdr.status());
-    }
-  } else if (ticket != 0 && OutlivesHost(request)) {
-    MirrorSlot(ticket, *reply);
-  }
+  if (record_changed) MirrorSession();
 
   if (edge_faults_ && edge_faults_->TakeConnectionKill(
                           clf::FaultInjector::KillPoint::kAfterExecute)) {
@@ -288,6 +207,14 @@ bool Surrogate::TrackSessionStateLocked(const core::Request& request,
       const auto& req = std::get<core::AttachReq>(request.body);
       auto slot = reply_body.GetU32();
       if (!slot.ok()) return false;
+      // A replay answered from the owner's slot returns the attachment
+      // this session already holds.
+      for (const Attachment& a : attachments_) {
+        if (a.container_bits == req.container_bits &&
+            a.is_queue == req.is_queue && a.device_slot == *slot) {
+          return false;
+        }
+      }
       attachments_.push_back(Attachment{req.container_bits, req.is_queue,
                                         *slot, *slot,
                                         static_cast<std::uint8_t>(req.mode),
@@ -302,41 +229,18 @@ bool Surrogate::TrackSessionStateLocked(const core::Request& request,
       });
       return true;
     }
-    case core::Op::kNsRegister:
-      registered_names_.push_back(std::get<core::NsEntry>(request.body).name);
+    case core::Op::kNsRegister: {
+      const std::string& name = std::get<core::NsEntry>(request.body).name;
+      std::erase(registered_names_, name);  // a replay adds no second copy
+      registered_names_.push_back(name);
       return true;
+    }
     case core::Op::kNsUnregister:
       std::erase(registered_names_,
                  std::get<core::NsLookupReq>(request.body).name);
       return true;
     default:
       return false;  // no session state to track
-  }
-}
-
-bool Surrogate::OutlivesHost(const core::Request& request) const {
-  // An op on a host-owned container dies with the host anyway, so
-  // skipping the mirror there keeps the single-AS fast path free of
-  // extra RPCs.
-  switch (request.header.op) {
-    case core::Op::kNsRegister:
-    case core::Op::kNsUnregister:
-      return host_.name_server_as() != host_.id();
-    case core::Op::kPut:
-    case core::Op::kConsume:
-    case core::Op::kSetFilter:
-      return std::visit(
-          [this](const auto& req) {
-            if constexpr (requires { req.container_bits; }) {
-              return ChannelId::FromBits(req.container_bits).owner() !=
-                     host_.id();
-            } else {
-              return false;
-            }
-          },
-          request.body);
-    default:
-      return false;
   }
 }
 
@@ -348,8 +252,6 @@ core::SessionRecord Surrogate::SnapshotRecord() {
   record.host_as = host_.id();
   {
     ds::MutexLock lock(session_mu_);
-    record.reply_ticket = slot_ticket_;
-    if (slot_reply_) record.reply = *slot_reply_;
     record.attachments.reserve(attachments_.size());
     for (const Attachment& a : attachments_) {
       record.attachments.push_back(core::SessionAttachment{
@@ -373,15 +275,6 @@ void Surrogate::MirrorSession() {
   if (!s.ok()) {
     DS_LOG(kWarn) << "surrogate " << session_id_
                   << ": session mirror failed: " << s;
-  }
-}
-
-void Surrogate::MirrorSlot(std::uint64_t ticket, const Buffer& reply) {
-  if (host_.stopped()) return;
-  Status s = host_.SessionSetReply(session_id_, ticket, reply);
-  if (!s.ok()) {
-    DS_LOG(kWarn) << "surrogate " << session_id_
-                  << ": reply slot mirror failed: " << s;
   }
 }
 
@@ -443,11 +336,6 @@ Status Surrogate::Rehydrate(const core::SessionRecord& record) {
     attachments_ = std::move(restored);
     registered_names_ = record.registered_names;
     slot_remaps_ = std::move(remaps);
-    // The old host died, so the device will replay its in-flight call:
-    // the mirrored slot answers it if it was the call in the record. A
-    // Get reply there was journaled (only those mirror a Get's reply).
-    SetSlotLocked(record.reply_ticket, Share(record.reply),
-                  /*journaled=*/true);
   }
   // The record now lives on this host: update host_as and slots.
   MirrorSession();
@@ -501,7 +389,7 @@ Status Surrogate::Reap() {
   for (const std::string& name : names) {
     (void)host_.NsUnregister(name);
   }
-  (void)host_.SessionDrop(session_id_);
+  (void)host_.EndSession(session_id_);
   return OkStatus();
 }
 
@@ -566,7 +454,7 @@ void Surrogate::Run() {
   if (bye) {
     state_.store(State::kLeft);
     conn_.Close();
-    if (!host_.stopped()) (void)host_.SessionDrop(session_id_);
+    if (!host_.stopped()) (void)host_.EndSession(session_id_);
   } else {
     Park();
   }

@@ -13,7 +13,7 @@
 // same two-phase waiter machinery as suspended remote requests
 // (SyncWaiter over GetAsync/PutAsync), so lifecycle cancellation —
 // container close, owner shutdown, peer death — unwinds a blocked
-// surrogate with the same statuses, and the reply slot sees an
+// surrogate with the same statuses, and the reply carries an
 // ordinary Status/ItemView result either way.
 //
 // Failure model: if the device vanishes without a clean Bye, the
@@ -24,13 +24,10 @@
 // names, GC interests) into the name server's session registry, and
 // can be re-bound to a fresh TCP connection (Adopt) or rebuilt from
 // the registry on another address space (Rehydrate) when its original
-// host died. One mechanism keeps a replayed call from running twice:
-// the reply slot. A device's calls are serialized and carry increasing
-// tickets, so at most one tracked call is unacknowledged at a time;
-// the slot holds that call's ticket and reply, the live send and a
-// replay read the same bytes, and the slot is mirrored into the
-// registry before the reply leaves whenever the call's effect outlives
-// this host (docs/FAILURES.md).
+// host died. The surrogate keeps no reply of its own: it tags each
+// tracked call with (session id, ticket), and the space where the
+// call takes effect keeps the session's reply slot and answers a
+// replay from it (docs/FAILURES.md).
 #pragma once
 
 #include <atomic>
@@ -90,7 +87,7 @@ class Surrogate {
   // interests and registered names. Old-slot -> new-slot remaps are
   // kept so replayed and future device calls are translated.
   Status Rehydrate(const core::SessionRecord& record);
-  // Answers the already-received Resume frame (remaps + last ticket).
+  // Answers the already-received Resume frame (host + slot remaps).
   Status ServiceResume(std::span<const std::uint8_t> frame);
   // Marks a surrogate that lost its session to a migrated successor:
   // terminal kReaped without detaching anything (its host is dead) and
@@ -108,9 +105,8 @@ class Surrogate {
   std::size_t tracked_attachments() const;
 
  private:
-  // A reply frame without its GC-notice trailer. The reply slot and the
-  // send path share it, so caching a reply copies no bytes.
-  using SharedReply = std::shared_ptr<const Buffer>;
+  // A reply frame without its GC-notice trailer.
+  using SharedReply = core::SharedReply;
 
   // Executes one request frame; returns the response frame, or null to
   // drop the connection. Sets bye when the device asked to leave,
@@ -120,30 +116,19 @@ class Surrogate {
                           bool& kill_conn);
   // `body` is positioned at the Hello fields.
   Buffer HandleHello(std::uint64_t request_id, marshal::XdrDecoder& body);
-  // Resume reply: this surrogate's host, slot ticket and slot remaps.
+  // Resume reply: this surrogate's host and slot remaps.
   Buffer ResumeReply(std::uint64_t request_id);
   // Drains the pending GC notices into the trailer sent after a reply.
   Buffer TakeNoticeTrailer();
-  // The replay rule: a tracked call whose ticket is the slot's gets the
-  // slot's reply (null: execute it). Ticket 0 never matches.
-  SharedReply ReplayLocked(std::uint64_t ticket, core::Op op)
-      DS_REQUIRES(session_mu_);
-  void SetSlotLocked(std::uint64_t ticket, SharedReply reply, bool journaled)
-      DS_REQUIRES(session_mu_);
   // Maintains the device's session state for Reap() and the session
   // registry from an executed STM request; `reply_body` reads its
-  // successful reply's result fields. True when the record changed.
+  // successful reply's result fields. True when the record changed (a
+  // replayed Attach or NsRegister changes nothing).
   bool TrackSessionStateLocked(const core::Request& request,
                                marshal::XdrDecoder reply_body)
       DS_REQUIRES(session_mu_);
-  // Whether a call's effect outlives this host: a Put, Consume or
-  // SetFilter on a peer's container, or a name-server mutation when the
-  // name server is remote. Such a call mirrors its reply slot.
-  bool OutlivesHost(const core::Request& request) const;
-  // Mirror the full session record (reply slot included) / the reply
-  // slot alone into the name server's session registry.
+  // Mirrors the full session record into the name server's registry.
   void MirrorSession();
-  void MirrorSlot(std::uint64_t ticket, const Buffer& reply);
   core::SessionRecord SnapshotRecord();
   void Park();
 
@@ -176,10 +161,7 @@ class Surrogate {
   std::atomic<std::uint64_t> notices_forwarded_{0};
 
   // Host-registry instruments (stable addresses, cached at construction).
-  metrics::Counter* m_replay_hits_ = nullptr;
   metrics::Counter* m_calls_ = nullptr;
-  metrics::Counter* m_redo_journaled_ = nullptr;
-  metrics::Counter* m_redo_replayed_ = nullptr;
 
   // GC interest set (bits -> is_queue) and pending notices, fed by the
   // GC-service sink. Leaf lock: taken inside the GC sink callback, so
@@ -195,13 +177,6 @@ class Surrogate {
   mutable ds::Mutex session_mu_{"surrogate.session_mu"};
   std::vector<Attachment> attachments_ DS_GUARDED_BY(session_mu_);
   std::vector<std::string> registered_names_ DS_GUARDED_BY(session_mu_);
-  // The reply slot: the ticket and reply of the last tracked call
-  // (SessionRecord::reply_ticket/reply is its mirror). `slot_journaled_`
-  // marks a destructive read's reply that is in the registry, so its
-  // replay counts as a redo (surrogate.redo_replayed).
-  std::uint64_t slot_ticket_ DS_GUARDED_BY(session_mu_) = 0;
-  SharedReply slot_reply_ DS_GUARDED_BY(session_mu_);
-  bool slot_journaled_ DS_GUARDED_BY(session_mu_) = false;
   // Post-migration slot translation (old surrogate's slot -> ours),
   // applied to each request's decoded body under session_mu_.
   std::vector<SlotRemap> slot_remaps_ DS_GUARDED_BY(session_mu_);

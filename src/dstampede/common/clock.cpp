@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <thread>
-#include <vector>
 
 namespace dstampede {
 
@@ -51,17 +50,16 @@ void VirtualClock::Uninstall() {
   // Wake every virtual sleeper and timed wait: with the clock gone
   // they fall back to real-time behaviour instead of waiting for an
   // Advance that will never come.
-  std::vector<std::condition_variable*> to_wake;
   {
+    // Notified under mu_: a waiter unregisters, and may then destroy its
+    // condition variable, only under mu_.
     std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [key, cv] : timed_waits_) to_wake.push_back(cv);
+    for (auto& [key, cv] : timed_waits_) cv->notify_all();
   }
   sleep_cv_.notify_all();
-  for (auto* cv : to_wake) cv->notify_all();
 }
 
 void VirtualClock::AdvanceTo(TimePoint t) {
-  std::vector<std::condition_variable*> to_wake;
   {
     std::lock_guard<std::mutex> lock(mu_);
     std::int64_t ticks = now_ticks_.load(std::memory_order_relaxed);
@@ -72,15 +70,15 @@ void VirtualClock::AdvanceTo(TimePoint t) {
     }
     // Every due timed wait gets (re-)notified — including entries that
     // were already due, so a waiter whose notify raced its own sleep
-    // is rescued by the controller's next step.
+    // is rescued by the controller's next step. Notified under mu_, as
+    // in Uninstall.
     const TimePoint now{Duration(ticks)};
     for (const auto& [key, cv] : timed_waits_) {
       if (key.first > now) break;
-      to_wake.push_back(cv);
+      cv->notify_all();
     }
   }
   sleep_cv_.notify_all();
-  for (auto* cv : to_wake) cv->notify_all();
 }
 
 void VirtualClock::SleepUntil(TimePoint until) {

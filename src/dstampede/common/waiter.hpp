@@ -34,6 +34,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -58,7 +59,7 @@ inline constexpr std::uint32_t kNoWaiterOrigin = 0xffffffffu;
 // need no further coordination.
 class DeferredReply {
  public:
-  using Sender = std::function<void(Buffer)>;
+  using Sender = std::function<void(std::span<const std::uint8_t>)>;
 
   DeferredReply(std::uint64_t request_id, Sender sender)
       : request_id_(request_id), sender_(std::move(sender)) {}
@@ -68,9 +69,9 @@ class DeferredReply {
 
   // Sends `reply` through the sender iff this is the first completion.
   // Returns whether this call won the claim.
-  bool Complete(Buffer reply) {
+  bool Complete(std::span<const std::uint8_t> reply) {
     if (completed_.exchange(true, std::memory_order_acq_rel)) return false;
-    sender_(std::move(reply));
+    sender_(reply);
     return true;
   }
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <span>
+#include <type_traits>
 #include <utility>
 
 #include "dstampede/common/logging.hpp"
@@ -18,6 +20,19 @@ std::string TraceTag(const trace::TraceContext& ctx) {
   char buf[20];
   std::snprintf(buf, sizeof(buf), "%016" PRIx64, ctx.trace_id);
   return buf;
+}
+
+// A recorded reply answering a replay: a peer's replay arrives under a
+// new request id, which only then costs a copy of the frame.
+SharedReply Restamp(SharedReply reply, std::uint64_t request_id) {
+  marshal::XdrDecoder dec(*reply);
+  (void)dec.GetU32();  // kReply
+  if (dec.GetU64().value_or(request_id) == request_id) return reply;
+  Buffer stamped = *reply;
+  for (int i = 0; i < 8; ++i) {
+    stamped[4 + i] = static_cast<std::uint8_t>(request_id >> (56 - 8 * i));
+  }
+  return Share(std::move(stamped));
 }
 
 }  // namespace
@@ -119,6 +134,10 @@ void AddressSpace::InitObservability() {
   registry_.AddProvider("dispatcher.queue_depth",
                         [this] { return static_cast<std::int64_t>(
                                      dispatcher_->pending()); });
+  registry_.AddProvider("stm.session_slots", [this] {
+    ds::MutexLock lock(session_slots_mu_);
+    return static_cast<std::int64_t>(session_slots_.size());
+  });
   registry_.AddProvider("containers.channels", [this] {
     ds::MutexLock lock(containers_mu_);
     return static_cast<std::int64_t>(channels_.size());
@@ -600,15 +619,20 @@ void AddressSpace::DispatchRequest(const transport::SockAddr& from,
       return;
     }
     Request request{hdr, std::move(*body)};
-    // A body decoded, so the op has a handler. Blocking container ops
-    // suspend into a waiter instead of parking this worker; everything
-    // else is served synchronously.
+    // A body decoded, so the op has a handler. A replay of a recorded
+    // device call is answered from its session's slot. Blocking
+    // container ops suspend into a waiter instead of parking this
+    // worker; everything else is served synchronously.
     const OpHandler& handler = *HandlerFor(hdr.op);
-    if (handler.suspend != nullptr &&
-        handler.suspend(*this, request, origin, from)) {
-      return;
+    SharedReply reply = RecordedReply(SlotTag(request), hdr.request_id);
+    if (reply == nullptr) {
+      if (handler.suspend != nullptr &&
+          handler.suspend(*this, request, origin, from)) {
+        return;
+      }
+      reply = Serve(handler, request, origin);
     }
-    (void)endpoint_->Send(from, handler.serve(*this, request, origin));
+    (void)endpoint_->Send(from, *reply);
   };
   if (!dispatcher_->Submit(std::move(task))) {
     // Only during shutdown. The refusal is sent from the delivering
@@ -624,13 +648,119 @@ void AddressSpace::DispatchRequest(const transport::SockAddr& from,
 }
 
 Buffer AddressSpace::Execute(Request& request) {
+  return *ExecuteShared(request);
+}
+
+SharedReply AddressSpace::ExecuteShared(Request& request) {
   stats_.requests_served.fetch_add(1, std::memory_order_relaxed);
   const OpHandler* handler = HandlerFor(request.header.op);
   if (handler == nullptr) {
-    return EncodeStatusReply(request.header.request_id,
-                             InternalError("unknown op"));
+    return Share(EncodeStatusReply(request.header.request_id,
+                                   InternalError("unknown op")));
   }
-  return handler->serve(*this, request, kInvalidAsId);
+  // Every request this call fans out to an owner carries its tag.
+  SessionScope tagging(request.header.session);
+  SharedReply recorded =
+      RecordedReply(SlotTag(request), request.header.request_id);
+  return recorded != nullptr ? recorded
+                             : Serve(*handler, request, kInvalidAsId);
+}
+
+SharedReply AddressSpace::Serve(const OpHandler& handler, Request& request,
+                                AsId origin) {
+  SharedReply reply = Share(handler.serve(*this, request, origin));
+  RecordReply(SlotTag(request), reply);
+  return reply;
+}
+
+// --- exactly-once for end-device calls ----------------------------------
+
+SessionTag AddressSpace::SlotTag(const Request& request) const {
+  if (!request.header.session) return {};
+  const bool effect_here = std::visit(
+      [this](const auto& req) {
+        if constexpr (requires { req.container_bits; }) {
+          if constexpr (requires { req.spec; }) {  // a Get
+            if (!req.is_queue) return false;
+          }
+          return ChannelId::FromBits(req.container_bits).owner() ==
+                 options_.id;
+        }
+        return std::is_same_v<std::decay_t<decltype(req)>, CreateReq>;
+      },
+      request.body);
+  return effect_here ? request.header.session : SessionTag{};
+}
+
+SharedReply AddressSpace::RecordedReply(SessionTag tag,
+                                        std::uint64_t request_id) {
+  if (!tag) return nullptr;
+  SharedReply recorded;
+  std::function<bool()> cancel_parked;
+  {
+    ds::MutexLock lock(session_slots_mu_);
+    auto it = session_slots_.find(tag.session_id);
+    if (it == session_slots_.end()) return nullptr;
+    SessionSlot& slot = it->second;
+    if (slot.ticket == tag.ticket) {
+      recorded = slot.reply;
+    } else if (slot.parked_ticket == tag.ticket) {
+      slot.parked_ticket = 0;
+      cancel_parked = std::move(slot.cancel_parked);
+    } else {
+      return nullptr;
+    }
+  }
+  if (cancel_parked) {
+    // The replay overtook its original, still parked here for a host
+    // that died: cancel the original and run the replay in its place.
+    if (cancel_parked()) return nullptr;
+    // The original is completing: once recorded, its reply answers.
+    for (int waited = 0; !recorded && waited < 1000; ++waited) {
+      SleepFor(Millis(1));
+      ds::MutexLock lock(session_slots_mu_);
+      auto it = session_slots_.find(tag.session_id);
+      if (it != session_slots_.end() && it->second.ticket == tag.ticket) {
+        recorded = it->second.reply;
+      }
+    }
+    if (!recorded) return nullptr;  // it failed: the replay runs
+  }
+  m_session_replays_->Add();
+  return Restamp(std::move(recorded), request_id);
+}
+
+void AddressSpace::NoteParked(SessionTag tag, std::function<bool()> cancel) {
+  if (!tag) return;
+  ds::MutexLock lock(session_slots_mu_);
+  SessionSlot& slot = session_slots_[tag.session_id];
+  if (slot.ticket >= tag.ticket) return;  // it completed already
+  slot.parked_ticket = tag.ticket;
+  slot.cancel_parked = std::move(cancel);
+}
+
+void AddressSpace::RecordReply(SessionTag tag, const SharedReply& reply) {
+  if (!tag) return;
+  marshal::XdrDecoder dec(*reply);
+  auto hdr = DecodeResponseHeader(dec);
+  // Only a call that took effect is recorded: a failed one runs again.
+  const bool took_effect = hdr.ok() && hdr->status.ok();
+  ds::MutexLock lock(session_slots_mu_);
+  if (!took_effect && session_slots_.count(tag.session_id) == 0) return;
+  SessionSlot& slot = session_slots_[tag.session_id];
+  if (slot.parked_ticket == tag.ticket) {  // the parked call completed
+    slot.parked_ticket = 0;
+    slot.cancel_parked = nullptr;
+  }
+  if (took_effect && tag.ticket >= slot.ticket) {
+    slot.ticket = tag.ticket;
+    slot.reply = reply;
+  }
+}
+
+void AddressSpace::FreeSessionSlot(std::uint64_t session_id) {
+  ds::MutexLock lock(session_slots_mu_);
+  session_slots_.erase(session_id);
 }
 
 namespace {
@@ -775,16 +905,21 @@ struct AddressSpace::Ops {
                              as.replog_->Append(EncodeNsMutation(m)));
   }
 
+  // A device's register/unregister carries its tag into the mutation.
   static Buffer NsRegister(AddressSpace& as, Request& r, AsId origin) {
     return Mutation(as, r, origin,
                     {.kind = NsMutation::Kind::kRegister,
-                     .entry = std::get<NsEntry>(r.body)});
+                     .entry = std::get<NsEntry>(r.body),
+                     .session_id = r.header.session.session_id,
+                     .ticket = r.header.session.ticket});
   }
 
   static Buffer NsUnregister(AddressSpace& as, Request& r, AsId origin) {
     return Mutation(as, r, origin,
                     {.kind = NsMutation::Kind::kUnregister,
-                     .name = std::get<NsLookupReq>(r.body).name});
+                     .name = std::get<NsLookupReq>(r.body).name,
+                     .session_id = r.header.session.session_id,
+                     .ticket = r.header.session.ticket});
   }
 
   static Buffer SessionPut(AddressSpace& as, Request& r, AsId origin) {
@@ -799,13 +934,9 @@ struct AddressSpace::Ops {
                      .session_id = std::get<SessionIdReq>(r.body).session_id});
   }
 
-  static Buffer SessionSetReply(AddressSpace& as, Request& r, AsId origin) {
-    auto& req = std::get<SessionReplyReq>(r.body);
-    return Mutation(as, r, origin,
-                    {.kind = NsMutation::Kind::kSetSessionReply,
-                     .session_id = req.session_id,
-                     .ticket = req.ticket,
-                     .reply = std::move(req.reply)});
+  static Buffer SessionEnd(AddressSpace& as, Request& r, AsId /*origin*/) {
+    as.FreeSessionSlot(std::get<SessionIdReq>(r.body).session_id);
+    return EncodeStatusReply(r.header.request_id, OkStatus());
   }
 
   // Name-server reads: a replica whose lease view is stale refuses a
@@ -894,18 +1025,34 @@ struct AddressSpace::Ops {
   struct Parked {
     std::uint32_t origin_tag;
     std::function<void(const Status&, Buffer)> finish;
+    SessionTag tag;  // the call's slot tag (see SlotTag)
   };
-  static Parked Park(AddressSpace& as, const RequestHeader& hdr, AsId origin,
+  template <class Container>
+  static void NoteParked(AddressSpace& as, const Parked& parked,
+                         std::shared_ptr<Container> container,
+                         std::uint64_t waiter) {
+    if (waiter == 0) return;  // it completed inline
+    as.NoteParked(parked.tag, [container = std::move(container), waiter] {
+      return container->CancelWaiter(
+          waiter, UnavailableError("superseded by the call's replay"));
+    });
+  }
+  // A tagged call's reply is recorded in its session's slot as the
+  // waiter completes, before it is sent.
+  static Parked Park(AddressSpace& as, const Request& r, AsId origin,
                      const transport::SockAddr& from, const char* what) {
+    const RequestHeader& hdr = r.header;
     auto reply = std::make_shared<DeferredReply>(
-        hdr.request_id, [&as, from](Buffer encoded) {
+        hdr.request_id, [&as, from](std::span<const std::uint8_t> encoded) {
           if (!encoded.empty()) (void)as.endpoint_->Send(from, encoded);
         });
     auto span = std::make_shared<trace::PendingSpan>(&as.span_sink_,
                                                      "owner.parked", hdr.trace);
     as.m_dispatch_deferred_->Add();
+    const SessionTag tag = as.SlotTag(r);
     return {origin == kInvalidAsId ? kNoWaiterOrigin : AsIndex(origin),
-            [&as, hdr, what, reply, span](const Status& st, Buffer encoded) {
+            [&as, hdr, what, reply, span, tag](const Status& st,
+                                               Buffer encoded) {
               span->Finish();
               if (st.code() == StatusCode::kTimeout) {
                 as.m_dropped_or_expired_->Add();
@@ -913,8 +1060,15 @@ struct AddressSpace::Ops {
                               << " expired at deadline, trace="
                               << TraceTag(hdr.trace);
               }
-              (void)reply->Complete(std::move(encoded));
-            }};
+              if (!tag) {
+                (void)reply->Complete(encoded);
+                return;
+              }
+              SharedReply shared = Share(std::move(encoded));
+              as.RecordReply(tag, shared);
+              (void)reply->Complete(*shared);
+            },
+            tag};
   }
 
   static bool SuspendGet(AddressSpace& as, Request& r, AsId origin,
@@ -922,25 +1076,32 @@ struct AddressSpace::Ops {
     const auto& req = std::get<GetReq>(r.body);
     if (OwnerOf(req.container_bits) != as.options_.id) return false;
     as.stats_.gets.fetch_add(1, std::memory_order_relaxed);
-    Parked parked = Park(as, r.header, origin, from, "get");
-    auto done = [&as, id = r.header.request_id,
-                 finish = parked.finish](Result<ItemView> item) {
+    Parked parked = Park(as, r, origin, from, "get");
+    auto q = req.is_queue ? as.FindQueue(req.container_bits) : nullptr;
+    // A device's destructive read from a peer is consumed on delivery:
+    // its recorded reply is now the item's only copy, so host-death
+    // recovery (which requeues unconsumed items) must not requeue it.
+    auto consume_from = r.header.session ? q : nullptr;
+    auto done = [&as, id = r.header.request_id, finish = parked.finish,
+                 consume_from, slot = req.slot](Result<ItemView> item) {
       if (!item.ok()) {
         finish(item.status(), EncodeStatusReply(id, item.status()));
         return;
       }
+      if (consume_from) (void)consume_from->Consume(slot, item->timestamp);
       as.stats_.bytes_got.fetch_add(item->payload.size(),
                                     std::memory_order_relaxed);
       finish(OkStatus(), EncodeItemReply(id, *item));
     };
     const Deadline deadline = DecodeDeadline(req.deadline_ms);
     if (req.is_queue) {
-      auto q = as.FindQueue(req.container_bits);
       if (!q) {
         done(NotFoundError("queue"));
         return true;
       }
-      q->GetAsync(req.slot, deadline, std::move(done), parked.origin_tag);
+      NoteParked(as, parked, q,
+                 q->GetAsync(req.slot, deadline, std::move(done),
+                             parked.origin_tag));
     } else {
       auto ch = as.FindChannel(req.container_bits);
       if (!ch) {
@@ -960,7 +1121,7 @@ struct AddressSpace::Ops {
     as.stats_.puts.fetch_add(1, std::memory_order_relaxed);
     as.stats_.bytes_put.fetch_add(req.payload.size(),
                                   std::memory_order_relaxed);
-    Parked parked = Park(as, r.header, origin, from, "put");
+    Parked parked = Park(as, r, origin, from, "put");
     auto done = [id = r.header.request_id,
                  finish = parked.finish](Status st) {
       finish(st, EncodeStatusReply(id, st));
@@ -977,16 +1138,18 @@ struct AddressSpace::Ops {
         done(NotFoundError("queue"));
         return true;
       }
-      q->PutAsync(req.ts, std::move(payload), deadline, std::move(done),
-                  parked.origin_tag);
+      NoteParked(as, parked, q,
+                 q->PutAsync(req.ts, std::move(payload), deadline,
+                             std::move(done), parked.origin_tag));
     } else {
       auto ch = as.FindChannel(req.container_bits);
       if (!ch) {
         done(NotFoundError("channel"));
         return true;
       }
-      ch->PutAsync(req.ts, std::move(payload), deadline, std::move(done),
-                   parked.origin_tag);
+      NoteParked(as, parked, ch,
+                 ch->PutAsync(req.ts, std::move(payload), deadline,
+                              std::move(done), parked.origin_tag));
     }
     return true;
   }
@@ -1010,7 +1173,7 @@ const AddressSpace::OpHandler* AddressSpace::HandlerFor(Op op) {
       {Op::kSessionPut, &Ops::SessionPut, nullptr},
       {Op::kSessionGet, &Ops::SessionGet, nullptr},
       {Op::kSessionDrop, &Ops::SessionDrop, nullptr},
-      {Op::kSessionSetReply, &Ops::SessionSetReply, nullptr},
+      {Op::kSessionEnd, &Ops::SessionEnd, nullptr},
       {Op::kMetrics, &Ops::Metrics, nullptr},
       {Op::kRepAppend, &Ops::RepAppend, nullptr},
       {Op::kRepFetch, &Ops::RepFetch, nullptr},
@@ -1330,9 +1493,6 @@ std::pair<Op, RequestBody> MutationRequest(const NsMutation& m) {
       return {Op::kSessionPut, m.session};
     case NsMutation::Kind::kDropSession:
       return {Op::kSessionDrop, SessionIdReq{m.session_id}};
-    case NsMutation::Kind::kSetSessionReply:
-      return {Op::kSessionSetReply,
-              SessionReplyReq{m.session_id, m.ticket, m.reply}};
     case NsMutation::Kind::kPurgeOwner:
       break;  // log-only, never routed
   }
@@ -1534,12 +1694,20 @@ Status AddressSpace::SessionDrop(std::uint64_t session_id) {
       {.kind = NsMutation::Kind::kDropSession, .session_id = session_id});
 }
 
-Status AddressSpace::SessionSetReply(std::uint64_t session_id,
-                                     std::uint64_t ticket, Buffer reply) {
-  return MutateNs({.kind = NsMutation::Kind::kSetSessionReply,
-                   .session_id = session_id,
-                   .ticket = ticket,
-                   .reply = std::move(reply)});
+Status AddressSpace::EndSession(std::uint64_t session_id) {
+  // The record goes first, so the session can no longer be resumed.
+  const Status dropped = SessionDrop(session_id);
+  std::vector<std::uint32_t> peers;
+  {
+    ds::MutexLock lock(peers_mu_);
+    for (const auto& [index, addr] : peers_) peers.push_back(index);
+  }
+  for (std::uint32_t peer : peers) {  // a dead one fails fast
+    (void)Exchange(static_cast<AsId>(peer), Op::kSessionEnd,
+                   SessionIdReq{session_id}, InternalDeadline());
+  }
+  FreeSessionSlot(session_id);
+  return dropped;
 }
 
 // --- observability ---------------------------------------------------------------

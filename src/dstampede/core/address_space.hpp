@@ -178,9 +178,9 @@ class AddressSpace {
   Status SessionPut(const SessionRecord& record);
   Result<SessionRecord> SessionGet(std::uint64_t session_id);
   Status SessionDrop(std::uint64_t session_id);
-  // Mirrors the session's reply slot (never rewinds it).
-  Status SessionSetReply(std::uint64_t session_id, std::uint64_t ticket,
-                         Buffer reply);
+  // Ends a device session (Bye, or a reap on a live host): frees its
+  // reply slot on every space and drops its registry record.
+  Status EndSession(std::uint64_t session_id);
 
   // --- threads -----------------------------------------------------------
   // POSIX-like D-Stampede threads (§3.1). The runtime tracks them so
@@ -251,10 +251,12 @@ class AddressSpace {
   // Serves one decoded STM request synchronously through the
   // op-handler table and returns the encoded reply. Surrogate threads
   // use it to field client calls "on behalf of the end device"
-  // (§3.2.2); ops on containers owned elsewhere are forwarded. A kPut
-  // payload is moved out of `request`; every other field is left as
-  // it was.
+  // (§3.2.2); ops on containers owned elsewhere are forwarded, carrying
+  // the request's session tag. A kPut payload is moved out of
+  // `request`; every other field is left as it was.
   Buffer Execute(Request& request);
+  // Same; the reply is shared with the session's reply slot, if any.
+  SharedReply ExecuteShared(Request& request);
 
   // Owner-side lookup, used by surrogates and tests.
   std::shared_ptr<LocalChannel> FindChannel(std::uint64_t bits);
@@ -338,6 +340,22 @@ class AddressSpace {
   struct Ops;  // the handlers, defined next to the table
   // Null for an op with no handler.
   static const OpHandler* HandlerFor(Op op);
+  // Serves `request` and records its reply (RecordReply).
+  SharedReply Serve(const OpHandler& handler, Request& request, AsId origin);
+
+  // --- exactly-once for device calls (docs/FAILURES.md) ----------------
+  // The tag a call's reply is kept under here: empty unless the call is
+  // tagged and takes effect here (a create, or a write or queue Get on
+  // a container owned here; channel Gets are idempotent).
+  SessionTag SlotTag(const Request& request) const;
+  // The reply recorded for `tag`, stamped with `request_id`, or null.
+  SharedReply RecordedReply(SessionTag tag, std::uint64_t request_id);
+  // Records an OK reply as its session's slot (never a lower ticket);
+  // called for every reply of a tagged call, parked ones included.
+  void RecordReply(SessionTag tag, const SharedReply& reply);
+  // The session's call parked here; `cancel` returns false once it ran.
+  void NoteParked(SessionTag tag, std::function<bool()> cancel);
+  void FreeSessionSlot(std::uint64_t session_id);
 
   // Fired by the CLF endpoint (its receiver thread) on peer death /
   // resurrection; translates transport addresses to AS ids and runs
@@ -383,6 +401,8 @@ class AddressSpace {
       &registry_.GetCounter("dispatch.deferred");
   metrics::Counter* const m_dropped_or_expired_ =
       &registry_.GetCounter("dispatch.dropped_or_expired");
+  metrics::Counter* const m_session_replays_ =
+      &registry_.GetCounter("stm.session_replays");
   StmMetrics stm_metrics_;
   std::unique_ptr<clf::Endpoint> endpoint_;
   // Deadline service for parked container waiters. Declared before the
@@ -418,6 +438,18 @@ class AddressSpace {
       DS_GUARDED_BY(peer_observers_mu_);
   std::vector<std::function<void(AsId)>> peer_up_observers_
       DS_GUARDED_BY(peer_observers_mu_);
+
+  // Per device session: its last recorded call here, and its call
+  // parked here, if any. Leaf lock.
+  struct SessionSlot {
+    std::uint64_t ticket = 0;
+    SharedReply reply;
+    std::uint64_t parked_ticket = 0;
+    std::function<bool()> cancel_parked;
+  };
+  ds::Mutex session_slots_mu_{"as.session_slots_mu"};
+  std::unordered_map<std::uint64_t, SessionSlot> session_slots_
+      DS_GUARDED_BY(session_slots_mu_);
 
   ds::Mutex remote_attach_mu_{"as.remote_attach_mu"};
   std::unordered_map<std::uint32_t, std::vector<RemoteAttach>>

@@ -164,14 +164,12 @@ struct SessionRecord {
   std::vector<SessionAttachment> attachments;
   std::vector<SessionGcInterest> gc_interests;
   std::vector<std::string> registered_names;
-  // The session's reply slot: the last tracked call's ticket (client
-  // request id) and its pre-trailer reply bytes, mirrored before the
-  // reply is sent to the device. A rehydrated surrogate answers a
-  // replay of `reply_ticket` with these bytes instead of running the
-  // call again. The registry never replaces the pair with one that has
-  // a lower ticket. Ticket 0 = empty slot.
+  // The session's reply slot for name-service mutations: the ticket
+  // (client request id) of the device's last NsRegister/NsUnregister
+  // that took effect, written by the same log entry as the mutation.
+  // A replay of that ticket is answered OK instead of running again.
+  // It never decreases. Ticket 0 = empty slot.
   std::uint64_t reply_ticket = 0;
-  Buffer reply;
   bool operator==(const SessionRecord&) const = default;
 };
 

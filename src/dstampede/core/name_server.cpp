@@ -1,5 +1,7 @@
 #include "dstampede/core/name_server.hpp"
 
+#include <algorithm>
+
 namespace dstampede::core {
 
 Status NameServer::Register(const NsEntry& entry) {
@@ -66,20 +68,10 @@ std::size_t NameServer::size() const {
 Status NameServer::PutSession(const SessionRecord& record) {
   if (record.session_id == 0) return InvalidArgumentError("session id 0");
   ds::MutexLock lock(mu_);
-  auto [it, inserted] = sessions_.emplace(record.session_id, record);
-  if (inserted) return OkStatus();
-  // Upsert, but never let a stale mirror rewind the reply slot: the
-  // replay dedup depends on it holding the newest tracked call.
-  SessionRecord& stored = it->second;
-  if (stored.reply_ticket <= record.reply_ticket) {
-    stored = record;
-  } else {
-    std::uint64_t ticket = stored.reply_ticket;
-    Buffer reply = std::move(stored.reply);
-    stored = record;
-    stored.reply_ticket = ticket;
-    stored.reply = std::move(reply);
-  }
+  SessionRecord& stored = sessions_[record.session_id];
+  const std::uint64_t ticket = std::max(stored.reply_ticket, record.reply_ticket);
+  stored = record;
+  stored.reply_ticket = ticket;
   return OkStatus();
 }
 
@@ -98,30 +90,38 @@ Status NameServer::DropSession(std::uint64_t session_id) {
   return OkStatus();
 }
 
-Status NameServer::SetSessionReply(std::uint64_t session_id,
-                                   std::uint64_t ticket, const Buffer& reply) {
-  ds::MutexLock lock(mu_);
-  auto it = sessions_.find(session_id);
-  if (it == sessions_.end())
-    return NotFoundError("session: " + std::to_string(session_id));
-  if (ticket >= it->second.reply_ticket) {
-    it->second.reply_ticket = ticket;
-    it->second.reply = reply;
-  }
-  return OkStatus();
-}
-
 std::size_t NameServer::session_count() const {
   ds::MutexLock lock(mu_);
   return sessions_.size();
 }
 
+bool NameServer::IsReplay(const NsMutation& m) const {
+  if (m.session_id == 0) return false;
+  ds::MutexLock lock(mu_);
+  auto it = sessions_.find(m.session_id);
+  return it != sessions_.end() && it->second.reply_ticket == m.ticket;
+}
+
+void NameServer::RecordTicket(const NsMutation& m, const Status& applied) {
+  if (m.session_id == 0 || !applied.ok()) return;
+  ds::MutexLock lock(mu_);
+  auto it = sessions_.find(m.session_id);
+  if (it != sessions_.end()) {
+    it->second.reply_ticket = std::max(it->second.reply_ticket, m.ticket);
+  }
+}
+
 Status NameServer::Apply(const NsMutation& m) {
   switch (m.kind) {
     case NsMutation::Kind::kRegister:
-      return Register(m.entry);
-    case NsMutation::Kind::kUnregister:
-      return Unregister(m.name);
+    case NsMutation::Kind::kUnregister: {
+      if (IsReplay(m)) return OkStatus();
+      Status applied = m.kind == NsMutation::Kind::kRegister
+                           ? Register(m.entry)
+                           : Unregister(m.name);
+      RecordTicket(m, applied);
+      return applied;
+    }
     case NsMutation::Kind::kPurgeOwner:
       PurgeOwner(m.owner);
       return OkStatus();
@@ -129,8 +129,6 @@ Status NameServer::Apply(const NsMutation& m) {
       return PutSession(m.session);
     case NsMutation::Kind::kDropSession:
       return DropSession(m.session_id);
-    case NsMutation::Kind::kSetSessionReply:
-      return SetSessionReply(m.session_id, m.ticket, m.reply);
   }
   return InternalError("bad NsMutation kind");
 }

@@ -50,14 +50,11 @@ class NameServer {
   // purpose: PurgeOwner destroys a dead space's *names*, but a
   // session record hosted on a dead space is exactly what a listener
   // needs to migrate the session to a live space. Records are
-  // upserted (surrogates mirror after every state change).
+  // upserted (surrogates mirror after every state change); an upsert
+  // never lowers the record's reply_ticket.
   Status PutSession(const SessionRecord& record);
   Result<SessionRecord> GetSession(std::uint64_t session_id) const;
   Status DropSession(std::uint64_t session_id);
-  // Replaces the session's reply slot unless it holds a higher ticket
-  // (never rewinds; PutSession keeps the slot by the same rule).
-  Status SetSessionReply(std::uint64_t session_id, std::uint64_t ticket,
-                         const Buffer& reply);
   std::size_t session_count() const;
 
   // --- replication (core/replog.hpp) -----------------------------------
@@ -67,9 +64,11 @@ class NameServer {
   // paths share one state machine. Every Apply is deterministic and
   // commutes into the same final state on every replica that applies
   // the same log prefix; mutations that target missing state
-  // (re-applied Unregister, SetSessionReply for a dropped session) return
-  // their usual error to the *caller* but leave all replicas
-  // identical.
+  // (re-applied Unregister, drop of a dropped session) return their
+  // usual error to the *caller* but leave all replicas identical. A
+  // register or unregister tagged with a device session takes effect
+  // once: a replay of the ticket in the session's reply_ticket is
+  // answered OK without running, and one that takes effect sets it.
   Status Apply(const NsMutation& m);
 
   // --- observability ---------------------------------------------------
@@ -87,6 +86,11 @@ class NameServer {
   std::map<std::uint64_t, SessionRecord> sessions_ DS_GUARDED_BY(mu_);
   std::atomic<std::uint64_t> lookups_{0};
   std::atomic<std::uint64_t> purged_{0};  // entries dropped by PurgeOwner
+
+  // Whether `m` is a replay of its session's recorded mutation; after
+  // `applied`, records its ticket. Untagged mutations are never replays.
+  bool IsReplay(const NsMutation& m) const;
+  void RecordTicket(const NsMutation& m, const Status& applied);
 };
 
 }  // namespace dstampede::core

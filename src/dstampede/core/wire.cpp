@@ -34,15 +34,31 @@ Buffer EncodeItemReply(std::uint64_t request_id, const ItemView& item) {
   return enc.Take();
 }
 
+namespace {
+thread_local SessionTag t_session;
+}  // namespace
+
+SessionTag CurrentSessionTag() { return t_session; }
+
+SessionScope::SessionScope(SessionTag tag) : prev_(t_session) {
+  t_session = tag;
+}
+
+SessionScope::~SessionScope() { t_session = prev_; }
+
 Result<RequestHeader> DecodeRequestHeader(marshal::XdrDecoder& dec) {
   RequestHeader hdr;
   DS_ASSIGN_OR_RETURN(std::uint32_t op, dec.GetU32());
-  hdr.op = static_cast<Op>(op & ~kTraceFlag);
+  hdr.op = static_cast<Op>(op & ~(kTraceFlag | kSessionFlag));
   DS_ASSIGN_OR_RETURN(hdr.request_id, dec.GetU64());
   if (op & kTraceFlag) {
     DS_ASSIGN_OR_RETURN(hdr.trace.trace_id, dec.GetU64());
     DS_ASSIGN_OR_RETURN(hdr.trace.span_id, dec.GetU64());
     DS_ASSIGN_OR_RETURN(hdr.trace.flags, dec.GetU32());
+  }
+  if (op & kSessionFlag) {
+    DS_ASSIGN_OR_RETURN(hdr.session.session_id, dec.GetU64());
+    DS_ASSIGN_OR_RETURN(hdr.session.ticket, dec.GetU64());
   }
   return hdr;
 }
@@ -179,21 +195,12 @@ Result<SessionRecord> DecodeSessionRecord(marshal::XdrDecoder& dec) {
     rec.registered_names.push_back(std::move(name));
   }
   DS_ASSIGN_OR_RETURN(rec.reply_ticket, dec.GetU64());
-  DS_ASSIGN_OR_RETURN(rec.reply, dec.GetOpaque());
   return rec;
 }
 
 Result<SessionIdReq> SessionIdReq::Decode(marshal::XdrDecoder& dec) {
   SessionIdReq req;
   DS_ASSIGN_OR_RETURN(req.session_id, dec.GetU64());
-  return req;
-}
-
-Result<SessionReplyReq> SessionReplyReq::Decode(marshal::XdrDecoder& dec) {
-  SessionReplyReq req;
-  DS_ASSIGN_OR_RETURN(req.session_id, dec.GetU64());
-  DS_ASSIGN_OR_RETURN(req.ticket, dec.GetU64());
-  DS_ASSIGN_OR_RETURN(req.reply, dec.GetOpaque());
   return req;
 }
 
@@ -216,9 +223,13 @@ Buffer EncodeNsMutation(const NsMutation& m) {
   switch (m.kind) {
     case NsMutation::Kind::kRegister:
       EncodeNsEntry(enc, m.entry);
+      enc.PutU64(m.session_id);
+      enc.PutU64(m.ticket);
       break;
     case NsMutation::Kind::kUnregister:
       enc.PutString(m.name);
+      enc.PutU64(m.session_id);
+      enc.PutU64(m.ticket);
       break;
     case NsMutation::Kind::kPurgeOwner:
       enc.PutU32(AsIndex(m.owner));
@@ -229,11 +240,6 @@ Buffer EncodeNsMutation(const NsMutation& m) {
     case NsMutation::Kind::kDropSession:
       enc.PutU64(m.session_id);
       break;
-    case NsMutation::Kind::kSetSessionReply:
-      enc.PutU64(m.session_id);
-      enc.PutU64(m.ticket);
-      enc.PutOpaque(m.reply);
-      break;
   }
   return enc.Take();
 }
@@ -242,15 +248,19 @@ Result<NsMutation> DecodeNsMutation(const Buffer& bytes) {
   marshal::XdrDecoder dec(bytes);
   NsMutation m;
   DS_ASSIGN_OR_RETURN(std::uint32_t kind, dec.GetU32());
-  if (kind < 1 || kind > 6) return InternalError("bad NsMutation kind");
+  if (kind < 1 || kind > 5) return InternalError("bad NsMutation kind");
   m.kind = static_cast<NsMutation::Kind>(kind);
   switch (m.kind) {
     case NsMutation::Kind::kRegister: {
       DS_ASSIGN_OR_RETURN(m.entry, DecodeNsEntry(dec));
+      DS_ASSIGN_OR_RETURN(m.session_id, dec.GetU64());
+      DS_ASSIGN_OR_RETURN(m.ticket, dec.GetU64());
       break;
     }
     case NsMutation::Kind::kUnregister: {
       DS_ASSIGN_OR_RETURN(m.name, dec.GetString());
+      DS_ASSIGN_OR_RETURN(m.session_id, dec.GetU64());
+      DS_ASSIGN_OR_RETURN(m.ticket, dec.GetU64());
       break;
     }
     case NsMutation::Kind::kPurgeOwner: {
@@ -264,12 +274,6 @@ Result<NsMutation> DecodeNsMutation(const Buffer& bytes) {
     }
     case NsMutation::Kind::kDropSession: {
       DS_ASSIGN_OR_RETURN(m.session_id, dec.GetU64());
-      break;
-    }
-    case NsMutation::Kind::kSetSessionReply: {
-      DS_ASSIGN_OR_RETURN(m.session_id, dec.GetU64());
-      DS_ASSIGN_OR_RETURN(m.ticket, dec.GetU64());
-      DS_ASSIGN_OR_RETURN(m.reply, dec.GetOpaque());
       break;
     }
   }
@@ -373,9 +377,8 @@ Result<RequestBody> DecodeRequestBody(Op op, marshal::XdrDecoder& dec) {
       return AsBody(DecodeSessionRecord(dec));
     case Op::kSessionGet:
     case Op::kSessionDrop:
+    case Op::kSessionEnd:
       return AsBody(SessionIdReq::Decode(dec));
-    case Op::kSessionSetReply:
-      return AsBody(SessionReplyReq::Decode(dec));
     case Op::kMetrics:
       return AsBody(MetricsReq::Decode(dec));
     case Op::kRepAppend:

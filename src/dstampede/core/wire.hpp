@@ -20,9 +20,16 @@
 // calling thread's current trace context automatically, which is how
 // the context propagates across every AS->AS hop (including requests
 // re-issued on behalf of a suspended DeferredReply).
+//
+// Session tag (exactly-once for end devices): a request whose op word
+// has kSessionFlag set carries [u64 session_id][u64 ticket] after the
+// trace context (if any). Like the trace context, it is injected from
+// the calling thread (SessionScope), so every request a device's call
+// fans out carries it to the space where the call takes effect.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -57,7 +64,8 @@ enum class Op : std::uint32_t {
   kSessionPut = 13,
   kSessionGet = 14,
   kSessionDrop = 15,
-  kSessionSetReply = 16,
+  // A device session ended: the receiving space frees its reply slot.
+  kSessionEnd = 16,
   // Introspection: returns the target address space's sys/metrics
   // JSON snapshot (registry + spans + per-container space-time state).
   kMetrics = 17,
@@ -71,6 +79,33 @@ enum class Op : std::uint32_t {
 
 // High bit of the wire op word: this request carries a trace context.
 inline constexpr std::uint32_t kTraceFlag = 0x80000000u;
+// Next bit: this request carries a session tag.
+inline constexpr std::uint32_t kSessionFlag = 0x40000000u;
+
+// The device call a request serves: its session and the device's
+// ticket (client request id).
+struct SessionTag {
+  std::uint64_t session_id = 0;
+  std::uint64_t ticket = 0;
+
+  explicit operator bool() const { return session_id != 0; }
+  bool operator==(const SessionTag&) const = default;
+};
+
+// The calling thread's tag, which EncodeRequestHeader stamps.
+SessionTag CurrentSessionTag();
+
+// RAII: installs a tag for the current scope, restores on exit.
+class SessionScope {
+ public:
+  explicit SessionScope(SessionTag tag);
+  ~SessionScope();
+  SessionScope(const SessionScope&) = delete;
+  SessionScope& operator=(const SessionScope&) = delete;
+
+ private:
+  SessionTag prev_;
+};
 
 // Deadline on the wire: milliseconds the callee may block.
 // kDeadlineInfinite = block forever; 0 = poll.
@@ -84,20 +119,25 @@ struct RequestHeader {
   std::uint64_t request_id = 0;
   // Unsampled/empty unless the frame carried kTraceFlag.
   trace::TraceContext trace;
+  // Empty unless the frame carried kSessionFlag.
+  SessionTag session;
 };
 
 template <class Enc>
 void EncodeRequestHeader(Enc& enc, Op op, std::uint64_t request_id) {
   const trace::TraceContext ctx = trace::CurrentContext();
+  const SessionTag tag = CurrentSessionTag();
+  enc.PutU32(static_cast<std::uint32_t>(op) | (ctx.sampled() ? kTraceFlag : 0) |
+             (tag ? kSessionFlag : 0));
+  enc.PutU64(request_id);
   if (ctx.sampled()) {
-    enc.PutU32(static_cast<std::uint32_t>(op) | kTraceFlag);
-    enc.PutU64(request_id);
     enc.PutU64(ctx.trace_id);
     enc.PutU64(ctx.span_id);
     enc.PutU32(ctx.flags);
-  } else {
-    enc.PutU32(static_cast<std::uint32_t>(op));
-    enc.PutU64(request_id);
+  }
+  if (tag) {
+    enc.PutU64(tag.session_id);
+    enc.PutU64(tag.ticket);
   }
 }
 Result<RequestHeader> DecodeRequestHeader(marshal::XdrDecoder& dec);
@@ -269,11 +309,10 @@ void EncodeSessionRecord(Enc& enc, const SessionRecord& rec) {
   enc.PutU32(static_cast<std::uint32_t>(rec.registered_names.size()));
   for (const auto& n : rec.registered_names) enc.PutString(n);
   enc.PutU64(rec.reply_ticket);
-  enc.PutOpaque(rec.reply);
 }
 Result<SessionRecord> DecodeSessionRecord(marshal::XdrDecoder& dec);
 
-struct SessionIdReq {  // kSessionGet / kSessionDrop
+struct SessionIdReq {  // kSessionGet / kSessionDrop / kSessionEnd
   std::uint64_t session_id = 0;
 
   template <class Enc>
@@ -282,21 +321,6 @@ struct SessionIdReq {  // kSessionGet / kSessionDrop
   }
   static Result<SessionIdReq> Decode(marshal::XdrDecoder& dec);
   bool operator==(const SessionIdReq&) const = default;
-};
-
-struct SessionReplyReq {  // kSessionSetReply: a session's reply slot
-  std::uint64_t session_id = 0;
-  std::uint64_t ticket = 0;
-  Buffer reply;
-
-  template <class Enc>
-  void Encode(Enc& enc) const {
-    enc.PutU64(session_id);
-    enc.PutU64(ticket);
-    enc.PutOpaque(reply);
-  }
-  static Result<SessionReplyReq> Decode(marshal::XdrDecoder& dec);
-  bool operator==(const SessionReplyReq&) const = default;
 };
 
 struct MetricsReq {  // kMetrics
@@ -339,16 +363,14 @@ struct NsMutation {
     kPurgeOwner = 3,
     kPutSession = 4,
     kDropSession = 5,
-    kSetSessionReply = 6,
   };
   Kind kind = Kind::kRegister;
   NsEntry entry{};                 // kRegister
   std::string name{};              // kUnregister
   AsId owner = kInvalidAsId;       // kPurgeOwner
   SessionRecord session{};         // kPutSession
-  std::uint64_t session_id = 0;    // kDropSession / kSetSessionReply
-  std::uint64_t ticket = 0;        // kSetSessionReply
-  Buffer reply{};                  // kSetSessionReply
+  std::uint64_t session_id = 0;    // kDropSession; kRegister/kUnregister:
+  std::uint64_t ticket = 0;        // the issuing device call's tag
 };
 Buffer EncodeNsMutation(const NsMutation& m);
 Result<NsMutation> DecodeNsMutation(const Buffer& bytes);
@@ -425,12 +447,12 @@ struct RepFetchResp {
 
 // Every op's body. Ops with one layout share a struct: kCreateChannel/
 // kCreateQueue carry CreateReq; kNsLookup/kNsUnregister/kNsList carry
-// NsLookupReq; kSessionGet/kSessionDrop carry SessionIdReq.
+// NsLookupReq; kSessionGet/kSessionDrop/kSessionEnd carry SessionIdReq.
 using RequestBody =
     std::variant<std::monostate, CreateReq, AttachReq, DetachReq, PutReq,
                  GetReq, ConsumeReq, SetFilterReq, NsEntry, NsLookupReq,
-                 SessionRecord, SessionIdReq, SessionReplyReq, MetricsReq,
-                 RepAppendReq, RepFetchReq>;
+                 SessionRecord, SessionIdReq, MetricsReq, RepAppendReq,
+                 RepFetchReq>;
 
 // One STM request, decoded once. The owner's dispatcher and the
 // surrogate serve this struct, never the bytes it came from.
@@ -498,6 +520,12 @@ struct Reply {
         std::span<const std::uint8_t>(frame).subspan(body_offset));
   }
 };
+
+// An encoded reply a session's reply slot shares with the send path.
+using SharedReply = std::shared_ptr<const Buffer>;
+inline SharedReply Share(Buffer reply) {
+  return std::make_shared<const Buffer>(std::move(reply));
+}
 
 // Fully-encoded replies, shared by the synchronous dispatch path and
 // the deferred-completion path (which encodes on whatever thread

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <thread>
 
 #include "dstampede/client/java_client.hpp"
@@ -603,8 +604,7 @@ class RawDevice {
     marshal::XdrEncoder enc;
     core::EncodeRequestHeader(enc, static_cast<core::Op>(ClientOp::kResume),
                               ++ticket_);
-    ResumeReq{kClientKindC, session_id_, /*last_acked_ticket=*/0, -1}.Encode(
-        enc);
+    ResumeReq{kClientKindC, session_id_, -1}.Encode(enc);
     DS_ASSIGN_OR_RETURN(Buffer reply, RoundTrip(enc.Take()));
     marshal::XdrDecoder dec(reply);
     return Body(dec);
@@ -628,10 +628,18 @@ class RawDevice {
 
 // The call whose reply is lost executes on the session's host, AS 1,
 // against containers on AS 0; AS 1 dies before the device resumes. The
-// migrated surrogate must answer the replay with the original reply,
-// not run the call a second time.
+// replay must be answered with the original reply by the containers'
+// owner, not run a second time. A ledger of every queue item put and
+// delivered checks that each is delivered exactly once, also in the
+// row where the reply of a destructive read arrives and only then the
+// host dies: the owner's host-death recovery (which detaches the dead
+// host's connections and requeues their unconsumed items) must not
+// deliver that item again. In the last row the read is still parked
+// on the empty queue when the host dies, and the replay reaches the
+// owner before the owner has noticed: the replay must take the
+// original's place, not queue up behind it.
 TEST_F(ResilienceTest, ReplyLostAndHostDiedReplayIsAnsweredNotRerun) {
-  enum class Call { kAttach, kPut, kGet };
+  enum class Call { kAttach, kPut, kGet, kGetDelivered, kGetParked };
   const struct {
     const char* name;
     Call call;
@@ -639,18 +647,29 @@ TEST_F(ResilienceTest, ReplyLostAndHostDiedReplayIsAnsweredNotRerun) {
       {"attach to a channel", Call::kAttach},
       {"put to a queue", Call::kPut},
       {"destructive get from a queue", Call::kGet},
+      {"destructive get delivered, then the host dies", Call::kGetDelivered},
+      {"destructive get parked when the host dies", Call::kGetParked},
   };
   for (const auto& row : kRows) {
     SCOPED_TRACE(row.name);
     Start();
     core::AddressSpace& owner = rt_->as(0);
+    // Set once AS 0 has run its recovery for the dead host, detaches
+    // included (observers fire last).
+    auto recovered = std::make_shared<std::atomic<bool>>(false);
+    owner.AddPeerDownObserver([recovered](AsId) { recovered->store(true); });
     auto ch = owner.CreateChannel();
     auto q = owner.CreateQueue();
     ASSERT_TRUE(ch.ok() && q.ok());
     auto feed = owner.Connect(*q, ConnMode::kOutput);
     ASSERT_TRUE(feed.ok()) << feed.status();
-    ASSERT_TRUE(owner.Put(*feed, 1, Bytes("q1")).ok());
-    ASSERT_TRUE(owner.Put(*feed, 2, Bytes("q2")).ok());
+    std::vector<std::string> put = {"q1", "q2"};
+    if (row.call == Call::kGetParked) put.clear();  // the queue starts empty
+    std::map<std::string, int> delivered;
+    for (std::size_t i = 0; i < put.size(); ++i) {
+      ASSERT_TRUE(owner.Put(*feed, static_cast<Timestamp>(i + 1), Bytes(put[i]))
+                      .ok());
+    }
 
     RawDevice device;
     ASSERT_TRUE(device.Join(listener_->addr(), /*preferred_as=*/1).ok());
@@ -666,6 +685,15 @@ TEST_F(ResilienceTest, ReplyLostAndHostDiedReplayIsAnsweredNotRerun) {
     ASSERT_TRUE(q_out.ok() && q_in.ok());
     const core::GetReq get{q->bits(), true, ConnMode::kInput, *q_in,
                            GetSpec::Oldest(), 5000};
+    // Reads a Get reply's item into the ledger.
+    auto deliver = [&](const Buffer& reply) {
+      marshal::XdrDecoder dec(reply);
+      ASSERT_TRUE(RawDevice::Body(dec).ok());
+      ASSERT_TRUE(dec.GetI64().ok());
+      auto payload = dec.GetOpaque();
+      ASSERT_TRUE(payload.ok());
+      ++delivered[std::string(payload->begin(), payload->end())];
+    };
 
     Buffer frame;
     switch (row.call) {
@@ -675,38 +703,76 @@ TEST_F(ResilienceTest, ReplyLostAndHostDiedReplayIsAnsweredNotRerun) {
                                              ConnMode::kInput, "ch-in"});
         break;
       case Call::kPut:
+        put.push_back("p3");
         frame = device.Frame(core::Op::kPut,
                              core::PutReq{q->bits(), true, ConnMode::kOutput,
                                           *q_out, 3, 5000, Bytes("p3")});
         break;
       case Call::kGet:
+      case Call::kGetDelivered:
+      case Call::kGetParked:
         frame = device.Frame(core::Op::kGet, get);
         break;
     }
-    // The call executes; its reply is lost with the link. Only then does
-    // the host die, and only then does the device resume.
-    edge_faults_.ArmConnectionKill(
-        1, clf::FaultInjector::KillPoint::kAfterExecute);
-    ASSERT_FALSE(device.RoundTrip(frame).ok());
-    rt_->as(1).Shutdown();
+    const std::uint64_t replays_before =
+        owner.metrics_registry().GetCounter("stm.session_replays").Value();
+    if (row.call == Call::kGetDelivered) {
+      auto reply = device.RoundTrip(frame);
+      ASSERT_TRUE(reply.ok()) << reply.status();
+      deliver(*reply);
+      rt_->as(1).Shutdown();
+    } else if (row.call == Call::kGetParked) {
+      // The read parks on AS 0; the host dies under it.
+      std::thread killer([&] {
+        std::this_thread::sleep_for(Millis(200));
+        rt_->as(1).Shutdown();
+      });
+      ASSERT_FALSE(device.RoundTrip(frame).ok());
+      killer.join();
+    } else {
+      // The call executes; its reply is lost with the link. Only then
+      // does the host die, and only then does the device resume.
+      edge_faults_.ArmConnectionKill(
+          1, clf::FaultInjector::KillPoint::kAfterExecute);
+      ASSERT_FALSE(device.RoundTrip(frame).ok());
+      rt_->as(1).Shutdown();
+    }
     ASSERT_TRUE(device.Resume().ok());
-
-    metrics::Registry& migrated = rt_->as(0).metrics_registry();
-    const std::uint64_t calls = migrated.GetCounter("surrogate.calls").Value();
-    auto replay = device.RoundTrip(frame);
-    ASSERT_TRUE(replay.ok()) << replay.status();
-    // Counted once the migrated surrogate runs, so before it answers.
     ASSERT_EQ(listener_->sessions_migrated(), 1u);
-    marshal::XdrDecoder dec(*replay);
-    ASSERT_TRUE(RawDevice::Body(dec).ok());
-    EXPECT_EQ(migrated.GetCounter("surrogate.calls").Value(), calls)
-        << "the replay ran the call again";
-    EXPECT_EQ(migrated.GetCounter("surrogate.replay_cache_hits").Value(), 1u);
 
-    switch (row.call) {
-      case Call::kAttach: {
-        // The original reply: the slot the session record holds for the
-        // attachment.
+    if (row.call == Call::kGetParked) {
+      // Resumed well inside the peer timeout, so the original still
+      // waits on AS 0 for the dead host. The item arrives after the
+      // replay: it must reach the device.
+      put.push_back("q1");
+      std::thread feeder([&] {
+        std::this_thread::sleep_for(Millis(200));
+        ASSERT_TRUE(owner.Put(*feed, 1, Bytes("q1")).ok());
+      });
+      auto replay = device.RoundTrip(frame);
+      feeder.join();
+      ASSERT_TRUE(replay.ok()) << replay.status();
+      deliver(*replay);
+    }
+    for (int i = 0; i < 300 && !recovered->load(); ++i) {
+      std::this_thread::sleep_for(Millis(10));
+    }
+    ASSERT_TRUE(recovered->load()) << "AS 0 never declared AS 1 dead";
+
+    if (row.call != Call::kGetDelivered && row.call != Call::kGetParked) {
+      auto replay = device.RoundTrip(frame);
+      ASSERT_TRUE(replay.ok()) << replay.status();
+      marshal::XdrDecoder dec(*replay);
+      ASSERT_TRUE(RawDevice::Body(dec).ok());
+      // The owner answered the replay from the session's reply slot.
+      EXPECT_EQ(
+          owner.metrics_registry().GetCounter("stm.session_replays").Value(),
+          replays_before + 1)
+          << "the replay ran the call again";
+      if (row.call == Call::kGet) deliver(*replay);
+      if (row.call == Call::kAttach) {
+        // The original reply: the slot the session record holds for
+        // the attachment.
         auto slot = dec.GetU32();
         ASSERT_TRUE(slot.ok());
         auto record = owner.SessionGet(device.session_id());
@@ -721,45 +787,48 @@ TEST_F(ResilienceTest, ReplyLostAndHostDiedReplayIsAnsweredNotRerun) {
         auto detached = device.Call(
             core::Op::kDetach, core::DetachReq{ch->bits(), false, *slot});
         ASSERT_TRUE(detached.ok()) << detached.status();
-        // Once AS 0 has detached the dead host's connections, nothing
+        // AS 0 has detached the dead host's connections, so nothing
         // may still be attached to the channel for the device.
         auto channel = owner.FindChannel(ch->bits());
         ASSERT_NE(channel, nullptr);
-        for (int i = 0; i < 300 && channel->input_connections() != 0; ++i) {
-          std::this_thread::sleep_for(Millis(10));
-        }
         EXPECT_EQ(channel->input_connections(), 0u);
-        break;
-      }
-      case Call::kPut: {
-        // The queue holds the put exactly once, after the fed items.
-        auto drain = owner.Connect(*q, ConnMode::kInput);
-        ASSERT_TRUE(drain.ok()) << drain.status();
-        for (std::string_view want : {"q1", "q2", "p3"}) {
-          auto item = owner.Get(*drain, Deadline::AfterMillis(2000));
-          ASSERT_TRUE(item.ok()) << item.status();
-          EXPECT_EQ(item->payload.ToString(), want);
-        }
-        EXPECT_EQ(owner.Get(*drain, Deadline::AfterMillis(100)).status().code(),
-                  StatusCode::kTimeout);
-        break;
-      }
-      case Call::kGet: {
-        auto ts = dec.GetI64();
-        auto payload = dec.GetOpaque();
-        ASSERT_TRUE(ts.ok() && payload.ok());
-        EXPECT_EQ(*ts, 1);
-        EXPECT_EQ(*payload, Bytes("q1"));
-        // The next Get returns the next item.
-        auto next = device.Call(core::Op::kGet, get);
-        ASSERT_TRUE(next.ok()) << next.status();
-        marshal::XdrDecoder next_dec(*next);
-        ASSERT_TRUE(RawDevice::Body(next_dec).ok());
-        EXPECT_EQ(next_dec.GetI64().value_or(0), 2);
-        EXPECT_EQ(next_dec.GetOpaque().value_or(Buffer{}), Bytes("q2"));
-        break;
       }
     }
+    if (row.call == Call::kGet || row.call == Call::kGetDelivered) {
+      // The next Get returns the next item.
+      auto next = device.Call(core::Op::kGet, get);
+      ASSERT_TRUE(next.ok()) << next.status();
+      deliver(*next);
+      EXPECT_EQ(delivered["q1"], 1);
+      EXPECT_EQ(delivered["q2"], 1);
+    }
+    if (row.call == Call::kGetDelivered) {
+      // Consumed on delivery: the device's explicit Consume finds
+      // nothing left to acknowledge.
+      auto consumed = device.Call(
+          core::Op::kConsume,
+          core::ConsumeReq{q->bits(), true, ConnMode::kInput, *q_in, 1, false});
+      ASSERT_TRUE(consumed.ok()) << consumed.status();
+      marshal::XdrDecoder dec(*consumed);
+      EXPECT_EQ(RawDevice::Body(dec).code(), StatusCode::kNotFound);
+    }
+
+    // Drain the queue: every item put is delivered exactly once, and
+    // the queue ends empty.
+    auto drain = owner.Connect(*q, ConnMode::kInput);
+    ASSERT_TRUE(drain.ok()) << drain.status();
+    for (;;) {
+      auto item = owner.Get(*drain, Deadline::AfterMillis(100));
+      if (!item.ok()) {
+        EXPECT_EQ(item.status().code(), StatusCode::kTimeout);
+        break;
+      }
+      ++delivered[item->payload.ToString()];
+    }
+    for (const std::string& item : put) {
+      EXPECT_EQ(delivered[item], 1) << item;
+    }
+    EXPECT_EQ(delivered.size(), put.size());
     TearDown();
     listener_.reset();
     rt_.reset();
@@ -898,7 +967,6 @@ TEST_F(ResilienceTest, ResumeOfEndedOrUnknownSessionReportsNotFound) {
     ResumeReq req;
     req.client_kind = kClientKindC;
     req.session_id = session_id;
-    req.last_acked_ticket = 0;
     req.preferred_as = -1;
     req.Encode(enc);
     EXPECT_TRUE(conn->SendFrame(enc.Take()).ok());

@@ -102,29 +102,32 @@ TEST(NameServerTest, StoresIntendedUse) {
 
 // --- session registry (end-device session resilience) -----------------
 
-// The reply bytes a test stores in the slot for `ticket`.
-Buffer ReplyFor(std::uint64_t ticket) {
-  return Buffer{static_cast<std::uint8_t>(ticket),
-                static_cast<std::uint8_t>(ticket >> 8), 0xAB};
-}
-
 SessionRecord Session(std::uint64_t id, std::uint64_t ticket = 0) {
   SessionRecord record;
   record.session_id = id;
   record.client_name = "dev";
   record.host_as = static_cast<AsId>(1);
   record.reply_ticket = ticket;
-  record.reply = ReplyFor(ticket);
   return record;
 }
 
-// Asserts the session's stored reply slot is (ticket, ReplyFor(ticket)).
+// A device's register of `name`, tagged with its session and ticket.
+NsMutation TaggedRegister(const std::string& name, std::uint64_t session,
+                          std::uint64_t ticket) {
+  NsMutation m;
+  m.kind = NsMutation::Kind::kRegister;
+  m.entry = Entry(name);
+  m.session_id = session;
+  m.ticket = ticket;
+  return m;
+}
+
+// Asserts the session's stored reply slot holds `ticket`.
 void ExpectSlot(const NameServer& ns, std::uint64_t id,
                 std::uint64_t ticket) {
   auto got = ns.GetSession(id);
   ASSERT_TRUE(got.ok()) << got.status();
   EXPECT_EQ(got->reply_ticket, ticket);
-  EXPECT_EQ(got->reply, ReplyFor(ticket));
 }
 
 TEST(SessionRegistryTest, PutGetDropLifecycle) {
@@ -135,7 +138,6 @@ TEST(SessionRegistryTest, PutGetDropLifecycle) {
   auto got = ns.GetSession(7);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got->reply_ticket, 3u);
-  EXPECT_EQ(got->reply, ReplyFor(3));
   EXPECT_EQ(got->client_name, "dev");
   ASSERT_TRUE(ns.DropSession(7).ok());
   EXPECT_EQ(ns.GetSession(7).status().code(), StatusCode::kNotFound);
@@ -152,18 +154,50 @@ TEST(SessionRegistryTest, StaleMirrorNeverRewindsTicket) {
   ASSERT_TRUE(ns.PutSession(stale).ok());
   ExpectSlot(ns, 7, 10);
   EXPECT_EQ(ns.GetSession(7)->client_name, "dev-moved");
-  // A newer full record replaces the pair.
-  ASSERT_TRUE(ns.PutSession(Session(7, 11)).ok());
-  ExpectSlot(ns, 7, 11);
-  // Slot mutations obey the same rule.
-  ASSERT_TRUE(ns.SetSessionReply(7, 12, ReplyFor(12)).ok());
+  // A surrogate's mirror carries no ticket: the slot is kept.
+  ASSERT_TRUE(ns.PutSession(Session(7)).ok());
+  ExpectSlot(ns, 7, 10);
+  // A tagged mutation that takes effect moves the slot forward; one
+  // with a lower ticket still applies but leaves the slot alone.
+  ASSERT_TRUE(ns.Apply(TaggedRegister("a", 7, 12)).ok());
   ExpectSlot(ns, 7, 12);
-  ASSERT_TRUE(ns.SetSessionReply(7, 11, ReplyFor(11)).ok());  // ignored
+  ASSERT_TRUE(ns.Apply(TaggedRegister("b", 7, 11)).ok());
   ExpectSlot(ns, 7, 12);
   ASSERT_TRUE(ns.PutSession(Session(7, 12)).ok());  // same ticket: kept
   ExpectSlot(ns, 7, 12);
-  EXPECT_EQ(ns.SetSessionReply(99, 1, ReplyFor(1)).code(),
-            StatusCode::kNotFound);
+  // A tagged mutation of an unknown session applies and records nothing.
+  ASSERT_TRUE(ns.Apply(TaggedRegister("c", 99, 1)).ok());
+  EXPECT_EQ(ns.GetSession(99).status().code(), StatusCode::kNotFound);
+}
+
+TEST(SessionRegistryTest, TaggedMutationTakesEffectOnce) {
+  NameServer ns;
+  ASSERT_TRUE(ns.PutSession(Session(7)).ok());
+  // A replayed register is answered OK, not kAlreadyExists.
+  ASSERT_TRUE(ns.Apply(TaggedRegister("cam/0", 7, 3)).ok());
+  EXPECT_TRUE(ns.Apply(TaggedRegister("cam/0", 7, 3)).ok());
+  EXPECT_EQ(ns.List("cam/").size(), 1u);
+  // A replayed unregister is answered OK, not kNotFound.
+  NsMutation unregister;
+  unregister.kind = NsMutation::Kind::kUnregister;
+  unregister.name = "cam/0";
+  unregister.session_id = 7;
+  unregister.ticket = 4;
+  ASSERT_TRUE(ns.Apply(unregister).ok());
+  EXPECT_TRUE(ns.Apply(unregister).ok());
+  EXPECT_EQ(ns.List("cam/").size(), 0u);
+  ExpectSlot(ns, 7, 4);
+  // A mutation that fails records nothing, so its replay runs again.
+  ASSERT_TRUE(ns.Register(Entry("taken")).ok());
+  EXPECT_EQ(ns.Apply(TaggedRegister("taken", 7, 5)).code(),
+            StatusCode::kAlreadyExists);
+  ExpectSlot(ns, 7, 4);
+  EXPECT_EQ(ns.Apply(TaggedRegister("taken", 7, 5)).code(),
+            StatusCode::kAlreadyExists);
+  // Untagged mutations are never replays.
+  ASSERT_TRUE(ns.Apply(TaggedRegister("plain", 0, 0)).ok());
+  EXPECT_EQ(ns.Apply(TaggedRegister("plain", 0, 0)).code(),
+            StatusCode::kAlreadyExists);
 }
 
 TEST(SessionRegistryTest, PurgeOwnerRacesSessionUpdate) {
@@ -186,12 +220,13 @@ TEST(SessionRegistryTest, PurgeOwnerRacesSessionUpdate) {
   std::thread mirrorer([&] {
     ASSERT_TRUE(ns.PutSession(Session(7, 1)).ok());
     for (std::uint64_t t = 2; t <= kRounds; ++t) {
-      // Alternate full-record mirrors and reply-slot mutations, the
-      // two write shapes a live surrogate emits.
+      // Alternate full-record mirrors and tagged device registers, the
+      // two write shapes a live session emits.
       if (t % 2 == 0) {
-        ASSERT_TRUE(ns.PutSession(Session(7, t)).ok());
+        ASSERT_TRUE(ns.PutSession(Session(7)).ok());
       } else {
-        ASSERT_TRUE(ns.SetSessionReply(7, t, ReplyFor(t)).ok());
+        ASSERT_TRUE(
+            ns.Apply(TaggedRegister("dev/" + std::to_string(t), 7, t)).ok());
       }
     }
   });
@@ -199,10 +234,10 @@ TEST(SessionRegistryTest, PurgeOwnerRacesSessionUpdate) {
   mirrorer.join();
 
   // Every purged round removed its name; the session survived them all
-  // with the reply slot of the highest ticket it ever saw.
+  // with the reply slot of the highest ticket that took effect.
   ns.PurgeOwner(dead);
   EXPECT_EQ(ns.List("owned/").size(), 0u);
-  ExpectSlot(ns, 7, kRounds);
+  ExpectSlot(ns, 7, kRounds - 1);
 }
 
 TEST(SessionRegistryTest, TicketMonotoneAcrossLeaderChange) {
@@ -220,21 +255,13 @@ TEST(SessionRegistryTest, TicketMonotoneAcrossLeaderChange) {
     ASSERT_TRUE(decoded.ok());
     (void)old_leader.Apply(*decoded);
   };
-  auto slot = [](std::uint64_t ticket) {
-    NsMutation m;
-    m.kind = NsMutation::Kind::kSetSessionReply;
-    m.session_id = 7;
-    m.ticket = ticket;
-    m.reply = ReplyFor(ticket);
-    return m;
-  };
 
   NsMutation put;
   put.kind = NsMutation::Kind::kPutSession;
   put.session = Session(7, 5);
   append(put);
-  append(slot(9));
-  append(slot(12));
+  append(TaggedRegister("a", 7, 9));
+  append(TaggedRegister("b", 7, 12));
   ExpectSlot(old_leader, 7, 12);
 
   // Leader change: the new leader replays the full log.
@@ -244,10 +271,12 @@ TEST(SessionRegistryTest, TicketMonotoneAcrossLeaderChange) {
     (void)new_leader.Apply(*decoded);
   }
   ExpectSlot(new_leader, 7, 12);
+  EXPECT_EQ(new_leader.List("").size(), 2u);
 
   // Stale post-failover writes: a re-delivered log entry and a client
-  // mirror snapshotted before the crash. Both leave the pair alone.
-  ASSERT_TRUE(new_leader.Apply(slot(9)).ok());
+  // mirror snapshotted before the crash. Both leave the slot alone, and
+  // the re-delivered register is answered as a replay.
+  EXPECT_TRUE(new_leader.Apply(TaggedRegister("b", 7, 12)).ok());
   NsMutation stale_put;
   stale_put.kind = NsMutation::Kind::kPutSession;
   stale_put.session = Session(7, 4);

@@ -613,6 +613,12 @@ TEST(ScenarioSwarmTest, NsFailoverExactlyOnceDestructiveRead) {
     Result<core::ItemView> first = InvalidArgumentError("unset");
     Result<core::ItemView> second = InvalidArgumentError("unset");
     Result<core::NsEntry> resolved = InvalidArgumentError("unset");
+    // Items left in the queue after both reads, drained on its owner.
+    std::vector<std::string> leftover;
+    // Set once the queue's owner (AS 4) has run its recovery for the
+    // session's dead host, detaches included.
+    std::shared_ptr<std::atomic<bool>> owner_recovered =
+        std::make_shared<std::atomic<bool>>(false);
     std::string diag;
   };
   auto st = std::make_shared<NsFailoverState>();
@@ -659,6 +665,10 @@ TEST(ScenarioSwarmTest, NsFailoverExactlyOnceDestructiveRead) {
     }
     st->client = std::move(*joined);
     // The queue homes on AS 4, which survives both scripted deaths.
+    st->rt->as(4).AddPeerDownObserver([recovered = st->owner_recovered](
+                                          AsId dead) {
+      if (dead == static_cast<AsId>(3)) recovered->store(true);
+    });
     st->q = st->rt->as(4).CreateQueue();
     if (!st->q.ok()) {
       st->diag = "queue: " + st->q.status().ToString();
@@ -768,19 +778,43 @@ TEST(ScenarioSwarmTest, NsFailoverExactlyOnceDestructiveRead) {
         << "the migration never journaled through the new leader";
   }
 
-  // The redo journal must have been written once and consulted once,
-  // whichever resume path (park-adopt or migrate) the race picked.
-  std::uint64_t journaled = 0;
+  // The owner answered the replayed read from the session's reply
+  // slot, whichever resume path (park-adopt or migrate) the race picked.
   std::uint64_t replayed = 0;
   for (std::size_t i = 0; i < 5; ++i) {
-    metrics::Registry& reg = st->rt->as(i).metrics_registry();
-    journaled += reg.GetCounter("surrogate.redo_journaled").Value();
-    replayed += reg.GetCounter("surrogate.redo_replayed").Value();
+    replayed += st->rt->as(i)
+                    .metrics_registry()
+                    .GetCounter("stm.session_replays")
+                    .Value();
   }
-  EXPECT_GE(journaled, 1u) << "no surrogate journaled the destructive reply";
-  EXPECT_GE(replayed, 1u) << "the journaled reply was never replayed";
-  sim.Record("nsfailover.journaled=" + std::to_string(journaled));
+  EXPECT_GE(replayed, 1u) << "the recorded reply was never replayed";
   sim.Record("nsfailover.replayed=" + std::to_string(replayed));
+
+  // Exactly-once ledger: once the owner has detached the dead host's
+  // connections (which requeues their unconsumed items), drain the
+  // queue. Each item put is delivered exactly once and none is left.
+  EXPECT_TRUE(sim.RunUntil([&] { return st->owner_recovered->load(); },
+                           Millis(600'000)))
+      << "the queue's owner never declared the session's host dead";
+  if (!DriveToCompletion(sim, [st] {
+        auto drain = st->rt->as(4).Connect(*st->q, core::ConnMode::kInput);
+        if (!drain.ok()) return;
+        for (auto item = st->rt->as(4).Get(*drain, Deadline::Poll());
+             item.ok(); item = st->rt->as(4).Get(*drain, Deadline::Poll())) {
+          st->leftover.push_back(item->payload.ToString());
+        }
+      })) {
+    ADD_FAILURE() << "draining the queue wedged past the drive budget";
+  }
+  std::map<std::string, int> delivered;
+  for (const auto* read : {&st->first, &st->second}) {
+    if (read->ok()) ++delivered[(*read)->payload.ToString()];
+  }
+  for (const std::string& item : st->leftover) ++delivered[item];
+  EXPECT_EQ(delivered[std::string(1, '\x01')], 1);
+  EXPECT_EQ(delivered[std::string(1, '\x02')], 1);
+  EXPECT_EQ(delivered.size(), 2u);
+  EXPECT_TRUE(st->leftover.empty()) << st->leftover.size() << " items left";
 
   if (!DriveToCompletion(sim, [st] {
         (void)st->client->Leave();

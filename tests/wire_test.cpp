@@ -30,6 +30,44 @@ TEST(WireTest, RequestHeaderRoundTrip) {
   EXPECT_EQ(hdr->request_id, 0xDEADBEEFCAFEULL);
 }
 
+// A surrogate's tag and a trace context ride one header together: the
+// trace fields first, then the tag, with both op-word flags set. With
+// neither, the header is the bare 12-byte [op][request_id].
+TEST(WireTest, SessionTagAndTraceContextRoundTrip) {
+  const trace::TraceContext ctx{0xABCD, 0x1234, trace::TraceContext::kSampled};
+  const SessionTag tag{21, 7};
+  marshal::XdrEncoder enc;
+  {
+    trace::ScopedContext tracing(ctx);
+    SessionScope tagging(tag);
+    EXPECT_EQ(CurrentSessionTag(), tag);
+    EncodeRequestHeader(enc, Op::kGet, 42);
+  }
+  EXPECT_FALSE(CurrentSessionTag()) << "the scope must restore the tag";
+  EXPECT_EQ(enc.size(), 12u + 20u + 16u);
+  marshal::XdrDecoder word(enc.buffer());
+  EXPECT_EQ(word.GetU32().value_or(0),
+            static_cast<std::uint32_t>(Op::kGet) | kTraceFlag | kSessionFlag);
+  marshal::XdrDecoder dec(enc.buffer());
+  auto hdr = DecodeRequestHeader(dec);
+  ASSERT_TRUE(hdr.ok()) << hdr.status();
+  EXPECT_EQ(hdr->op, Op::kGet);
+  EXPECT_EQ(hdr->request_id, 42u);
+  EXPECT_EQ(hdr->trace.trace_id, ctx.trace_id);
+  EXPECT_EQ(hdr->trace.span_id, ctx.span_id);
+  EXPECT_TRUE(hdr->trace.sampled());
+  EXPECT_EQ(hdr->session, tag);
+  EXPECT_TRUE(dec.AtEnd());
+
+  marshal::XdrEncoder plain;
+  EncodeRequestHeader(plain, Op::kGet, 42);
+  EXPECT_EQ(plain.size(), 12u);
+  marshal::XdrDecoder plain_dec(plain.buffer());
+  auto plain_hdr = DecodeRequestHeader(plain_dec);
+  ASSERT_TRUE(plain_hdr.ok());
+  EXPECT_FALSE(plain_hdr->session);
+}
+
 TEST(WireTest, ResponseHeaderCarriesStatus) {
   marshal::XdrEncoder enc;
   EncodeResponseHeader(enc, 77, TimeoutError("too slow"));
@@ -158,7 +196,6 @@ std::vector<std::pair<Op, RequestBody>> SampleRequests() {
   session.gc_interests = {{0xC0FFEE, true}};
   session.registered_names = {"cam/0", "cam/1"};
   session.reply_ticket = 39;
-  session.reply = {4, 5, 6};
   ItemFilter filter;
   filter.stride = 3;
   filter.phase = 1;
@@ -185,7 +222,7 @@ std::vector<std::pair<Op, RequestBody>> SampleRequests() {
       {Op::kSessionPut, session},
       {Op::kSessionGet, SessionIdReq{11}},
       {Op::kSessionDrop, SessionIdReq{12}},
-      {Op::kSessionSetReply, SessionReplyReq{13, 14, {7, 8, 9}}},
+      {Op::kSessionEnd, SessionIdReq{13}},
       {Op::kMetrics, MetricsReq{3}},
       {Op::kRepAppend, RepAppendReq{5, 1, 10, 9, {{1}, {2, 3}}}},
       {Op::kRepFetch, RepFetchReq{4}},
